@@ -169,7 +169,7 @@ def _metric_block(net: InteractionNetwork, params: AnalysisParams, kind_index: i
 
     block["power_law"] = _power_law_block(net, params, kind_index)
 
-    und_m = len({tuple(sorted(e)) for e in net.edges})
+    und_m = len(net.view.pairs)
     if net.n_nodes >= 2 and und_m >= 1:
         er = er_baseline(
             n=net.n_nodes,

@@ -1,12 +1,14 @@
 """Walktrap community detection and Newman modularity.
 
 Direction is discarded: both run on the undirected projection of the
-interaction network.  Walktrap measures distances between nodes through
-t-step random-walk transition probabilities and agglomerates adjacent
-communities with the Ward-style merge that minimizes the increase in squared
-walk distances.  Disconnected inputs are processed per weak component, giving
-a forest of dendrograms; the best partition is the modularity-maximal cut,
-scanned per tree (modularity is additive over components).
+interaction network, read with its weak components from the network's cached
+integer view (:attr:`InteractionNetwork.view`).  Walktrap measures distances
+between nodes through t-step random-walk transition probabilities and
+agglomerates adjacent communities with the Ward-style merge that minimizes
+the increase in squared walk distances.  Disconnected inputs are processed
+per weak component, giving a forest of dendrograms; the best partition is the
+modularity-maximal cut, scanned per tree (modularity is additive over
+components).
 
 All tie-breaking is lexicographic by smallest member node id, so runs are
 reproducible.
@@ -22,7 +24,7 @@ import numpy as np
 
 from .corpus import ServiceCollection
 from .errors import SvcnetError, UsageError
-from .netbuild import InteractionNetwork
+from .netbuild import InteractionNetwork, NetworkView
 
 
 @dataclass(frozen=True)
@@ -70,42 +72,23 @@ class ModularityScore:
     q: float
 
 
-def _undirected_edges(net: InteractionNetwork) -> list[tuple[str, str]]:
-    seen = set()
-    for src, dst in net.edges:
-        a, b = (src, dst) if src < dst else (dst, src)
-        seen.add((a, b))
-    return sorted(seen)
-
-
-def _undirected_adjacency(net: InteractionNetwork) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {n: [] for n in net.nodes}
-    for a, b in _undirected_edges(net):
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def _weak_component_nodes(net: InteractionNetwork) -> list[list[str]]:
-    adj = _undirected_adjacency(net)
-    seen: set[str] = set()
-    comps: list[list[str]] = []
-    for start in sorted(net.nodes):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        members = []
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            for nb in adj[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(members))
-    comps.sort(key=lambda c: c[0])
-    return comps
+def _pairs_within(
+    view: NetworkView, blocks: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block of a partition of the node indices, the undirected pairs with
+    both ends in the block, as positions within it, in pair order."""
+    group = np.empty(len(view.ids), dtype=np.int64)
+    local = np.empty(len(view.ids), dtype=np.int64)
+    for g, block in enumerate(blocks):
+        group[block] = g
+        local[block] = np.arange(len(block))
+    a, b = view.pairs.T
+    inside = group[a] == group[b]
+    a, b = a[inside], b[inside]
+    order = np.argsort(group[a], kind="stable")
+    a, b = a[order], b[order]
+    bounds = np.searchsorted(group[a], np.arange(len(blocks) + 1))
+    return [(local[a[lo:hi]], local[b[lo:hi]]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -119,29 +102,27 @@ def walktrap(net: InteractionNetwork, walk_length: int = 4) -> Dendrogram:
         raise UsageError("walk length must be >= 1")
     if not net.nodes:
         raise UsageError("walktrap needs a non-empty network")
-    edges = _undirected_edges(net)
+    view = net.view
+    # One tree per weak component, in label order, i.e. by smallest member id.
+    _, sizes = np.unique(view.component, return_counts=True)
+    blocks = np.split(np.argsort(view.component, kind="stable"), np.cumsum(sizes)[:-1])
     trees = [
-        _walktrap_component(comp, edges, walk_length)
-        for comp in _weak_component_nodes(net)
+        _walktrap_component(tuple(view.ids[i] for i in block.tolist()), a, b, walk_length)
+        for block, (a, b) in zip(blocks, _pairs_within(view, blocks))
     ]
     return Dendrogram(trees=tuple(trees))
 
 
 def _walktrap_component(
-    members: list[str], all_edges: list[tuple[str, str]], t: int
+    leaves: tuple[str, ...], a: np.ndarray, b: np.ndarray, t: int
 ) -> DendroTree:
-    leaves = tuple(members)
+    """Merge tree of one component; ``a``/``b`` are its pairs' local ends."""
     n = len(leaves)
     if n == 1:
         return DendroTree(leaves=leaves, merges=())
 
-    index = {node: i for i, node in enumerate(leaves)}
     adj = np.zeros((n, n), dtype=np.float64)
-    for a, b in all_edges:
-        ia, ib = index.get(a), index.get(b)
-        if ia is not None and ib is not None:
-            adj[ia, ib] = 1.0
-            adj[ib, ia] = 1.0
+    adj[a, b] = adj[b, a] = 1.0
 
     deg = adj.sum(axis=1)
     trans = adj / deg[:, None]
@@ -153,10 +134,9 @@ def _walktrap_component(
     prob: dict[int, np.ndarray] = {i: walk[i] for i in range(n)}
     min_id: dict[int, str] = {i: leaves[i] for i in range(n)}
     neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in np.flatnonzero(adj[i]):
-            if int(j) != i:
-                neighbors[i].add(int(j))
+    for i, j in zip(a.tolist(), b.tolist()):
+        neighbors[i].add(j)
+        neighbors[j].add(i)
     alive: set[int] = set(range(n))
 
     def merge_cost(c1: int, c2: int) -> float:
@@ -169,11 +149,8 @@ def _walktrap_component(
             c1, c2 = c2, c1
         return (merge_cost(c1, c2), min_id[c1], min_id[c2], c1, c2)
 
-    heap: list[tuple] = []
-    for i in range(n):
-        for j in sorted(neighbors[i]):
-            if i < j:
-                heapq.heappush(heap, heap_entry(i, j))
+    heap = [heap_entry(i, j) for i, j in zip(a.tolist(), b.tolist())]
+    heapq.heapify(heap)
 
     merges: list[tuple[int, int, float]] = []
     sigma = 0.0
@@ -219,25 +196,23 @@ def modularity(net: InteractionNetwork, partition: Partition) -> ModularityScore
         raise SvcnetError(
             f"partition does not match network (missing={missing}, extra={extra})"
         )
-    edges = _undirected_edges(net)
-    m = len(edges)
+    view = net.view
+    m = len(view.pairs)
     if m == 0:
         return ModularityScore(0.0)
 
-    internal: dict[int, int] = {}
-    endpoint: dict[int, int] = {}
-    for a, b in edges:
-        ca, cb = partition.assignment[a], partition.assignment[b]
-        endpoint[ca] = endpoint.get(ca, 0) + 1
-        endpoint[cb] = endpoint.get(cb, 0) + 1
-        if ca == cb:
-            internal[ca] = internal.get(ca, 0) + 1
-
+    # Community ids renumbered 0..k-1 in sorted order.
+    labels, community = np.unique(
+        [partition.assignment[node] for node in view.ids], return_inverse=True
+    )
+    ca, cb = community[view.pairs.T]
+    internal = np.bincount(ca[ca == cb], minlength=len(labels)).tolist()
+    endpoint = np.bincount(np.concatenate((ca, cb)), minlength=len(labels)).tolist()
     q = 0.0
-    for c in sorted(endpoint):
-        e_cc = internal.get(c, 0) / m
-        a_c = endpoint[c] / (2 * m)
-        q += e_cc - a_c * a_c
+    for e_c, d_c in zip(internal, endpoint):
+        if d_c:  # a community without links adds no term
+            a_c = d_c / (2 * m)
+            q += e_c / m - a_c * a_c
     return ModularityScore(q)
 
 
@@ -250,51 +225,41 @@ def best_partition(
     communities never span components, per-tree maximization is exactly the
     maximum over all combined cuts.
     """
-    edges = _undirected_edges(net)
-    m = len(edges)
-    deg: dict[str, int] = {n: 0 for n in net.nodes}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-
+    view = net.view
+    if sorted(leaf for tree in dendrogram.trees for leaf in tree.leaves) != list(view.ids):
+        raise SvcnetError("dendrogram does not cover the network's nodes")
+    m = len(view.pairs)
     groups: list[list[str]] = []
     if m == 0:
-        groups = [[n] for n in sorted(net.nodes)]
+        groups = [[n] for n in view.ids]
         q_total = 0.0
     else:
-        q_total = sum(-((deg[n] / (2 * m)) ** 2) for n in sorted(net.nodes))
-        for tree in dendrogram.trees:
-            chosen, q_gain = _best_tree_cut(tree, edges, deg, m)
+        deg = view.und_deg.tolist()
+        q_total = sum(-((d / (2 * m)) ** 2) for d in deg)
+        index = {node: i for i, node in enumerate(view.ids)}
+        blocks = [np.fromiter(map(index.get, tree.leaves), np.int64) for tree in dendrogram.trees]
+        for tree, block, (a, b) in zip(dendrogram.trees, blocks, _pairs_within(view, blocks)):
+            chosen, q_gain = _best_tree_cut(tree, a, b, [deg[i] for i in block.tolist()], m)
             q_total += q_gain
             groups.extend(chosen)
 
     groups.sort(key=lambda g: g[0])
     assignment = {node: cid for cid, group in enumerate(groups) for node in group}
-    if set(assignment) != set(net.nodes):
-        raise SvcnetError("dendrogram does not cover the network's nodes")
     part = Partition(assignment=assignment, community_count=len(groups))
     return part, ModularityScore(q_total)
 
 
 def _best_tree_cut(
-    tree: DendroTree,
-    edges: list[tuple[str, str]],
-    deg: dict[str, int],
-    m: int,
+    tree: DendroTree, a: np.ndarray, b: np.ndarray, deg: list[int], m: int
 ) -> tuple[list[list[str]], float]:
-    leaves = tree.leaves
-    n = len(leaves)
-    index = {node: i for i, node in enumerate(leaves)}
-
+    """Best cut of one tree; ``a``/``b`` are its pairs' leaf positions and
+    ``deg`` its leaves' undirected degrees."""
+    n = len(tree.leaves)
     cross: dict[int, dict[int, int]] = {i: {} for i in range(n)}
-    for a, b in edges:
-        ia, ib = index.get(a), index.get(b)
-        if ia is None or ib is None:
-            continue
-        cross[ia][ib] = cross[ia].get(ib, 0) + 1
-        cross[ib][ia] = cross[ib].get(ia, 0) + 1
+    for ia, ib in zip(a.tolist(), b.tolist()):
+        cross[ia][ib] = cross[ib][ia] = 1
 
-    sum_deg: dict[int, int] = {i: deg[leaves[i]] for i in range(n)}
+    sum_deg: dict[int, int] = dict(enumerate(deg))
 
     gains = [0.0]
     q = 0.0
@@ -317,23 +282,9 @@ def _best_tree_cut(
 
     best_t = max(range(len(gains)), key=lambda i: (gains[i], i))
 
-    parent = list(range(n + len(tree.merges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pos in range(best_t):
-        c1, c2, _ = tree.merges[pos]
-        new = n + pos
-        parent[find(c1)] = new
-        parent[find(c2)] = new
-
-    members: dict[int, list[str]] = {}
-    for i, node in enumerate(leaves):
-        members.setdefault(find(i), []).append(node)
+    members: dict[int, list[str]] = {i: [leaf] for i, leaf in enumerate(tree.leaves)}
+    for pos, (c1, c2, _) in enumerate(tree.merges[:best_t]):
+        members[n + pos] = members.pop(c1) + members.pop(c2)
     return [sorted(g) for g in members.values()], gains[best_t]
 
 

@@ -4,10 +4,12 @@ Components and the giant component, directed distances (average and
 diameter), transitivity on the undirected simplification, degree statistics
 with hub/authority rankings, and the Erdos-Renyi small-world baseline.
 
-Distances come from a level-synchronous BFS run from every node at once over
-the dense adjacency matrix; averages are taken over reachable ordered pairs
-only and the excluded count is reported, so the convention is auditable.
-Weak connectivity is used for components throughout.
+All of them read the network's cached integer view
+(:attr:`InteractionNetwork.view`).  Distances come from a level-synchronous
+BFS run from every node at once over the dense adjacency matrix; averages
+are taken over reachable ordered pairs only and the excluded count is
+reported, so the convention is auditable.  Weak connectivity is used for
+components throughout.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .netbuild import InteractionNetwork
+from .netbuild import InteractionNetwork, component_labels
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,8 @@ class SmallWorldReport:
 
 
 # ---------------------------------------------------------------------------
-# Adjacency helpers
+# Distance kernel
 # ---------------------------------------------------------------------------
-
-
-def _adjacency(net: InteractionNetwork) -> tuple[list[str], np.ndarray]:
-    nodes = sorted(net.nodes)
-    index = {n: i for i, n in enumerate(nodes)}
-    adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
-    for src, dst in net.sorted_edges():
-        adj[index[src], index[dst]] = True
-    return nodes, adj
 
 
 def _all_pairs_distances(adj: np.ndarray) -> np.ndarray:
@@ -78,8 +71,6 @@ def _all_pairs_distances(adj: np.ndarray) -> np.ndarray:
     n = adj.shape[0]
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    if n == 0:
-        return dist
     reached = np.eye(n, dtype=bool)
     frontier = np.eye(n, dtype=bool)
     adj_f = adj.astype(np.float32)
@@ -101,53 +92,30 @@ def _all_pairs_distances(adj: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _component_members(net: InteractionNetwork) -> list[tuple[str, ...]]:
-    """Weakly connected components, largest first; ties broken by the
-    lexicographically smallest member id."""
-    parent: dict[str, str] = {n: n for n in net.nodes}
-
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for src, dst in net.sorted_edges():
-        ra, rb = find(src), find(dst)
-        if ra != rb:
-            parent[rb] = ra
-
-    groups: dict[str, list[str]] = {}
-    for n in sorted(net.nodes):
-        groups.setdefault(find(n), []).append(n)
-    members = [tuple(g) for g in groups.values()]
-    members.sort(key=lambda g: (-len(g), g[0]))
-    return members
+def _components_by_size(net: InteractionNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels and sizes, largest first; ties broken by label, i.e.
+    by the lexicographically smallest member id."""
+    labels, sizes = np.unique(net.view.component, return_counts=True)
+    order = np.lexsort((labels, -sizes))
+    return labels[order], sizes[order]
 
 
 def weak_components(net: InteractionNetwork) -> ComponentReport:
     if not net.nodes:
         return ComponentReport((), 0.0, 0.0)
-    members = _component_members(net)
-    sizes = tuple(len(g) for g in members)
-    giant = set(members[0])
-    giant_links = sum(1 for src, _ in net.edges if src in giant)
-    node_fraction = len(giant) / len(net.nodes)
+    labels, sizes = _components_by_size(net)
+    giant_links = int((net.view.component[net.view.src] == labels[0]).sum())
+    node_fraction = int(sizes[0]) / len(net.nodes)
     link_fraction = giant_links / len(net.edges) if net.edges else 0.0
-    return ComponentReport(sizes, node_fraction, link_fraction)
+    return ComponentReport(tuple(sizes.tolist()), node_fraction, link_fraction)
 
 
 def giant_component(net: InteractionNetwork) -> InteractionNetwork:
     """Induced subgraph on the largest weak component."""
     if not net.nodes:
         return net
-    giant = set(_component_members(net)[0])
-    edges = frozenset((s, d) for s, d in net.edges if s in giant)
-    return InteractionNetwork(
-        nodes=tuple(sorted(giant)), edges=edges, kind=net.kind, options=net.options
-    )
+    labels, _ = _components_by_size(net)
+    return net.keep_components(net.view.component == labels[0])
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +126,9 @@ def giant_component(net: InteractionNetwork) -> InteractionNetwork:
 def distance_report(net: InteractionNetwork) -> DistanceReport:
     """Average directed distance and diameter over reachable ordered pairs."""
     n = net.n_nodes
-    if n == 0:
-        return DistanceReport(None, None, 0, 0)
-    _, adj = _adjacency(net)
+    view = net.view
+    adj = np.zeros((n, n), dtype=bool)
+    adj[view.src, view.dst] = True
     dist = _all_pairs_distances(adj)
     off_diag = ~np.eye(n, dtype=bool)
     finite = np.isfinite(dist) & off_diag
@@ -184,16 +152,14 @@ def distance_report(net: InteractionNetwork) -> DistanceReport:
 
 def transitivity(net: InteractionNetwork) -> float:
     """3 * triangles / connected triples on the undirected simplification."""
-    if net.n_nodes == 0:
-        return 0.0
-    _, adj = _adjacency(net)
-    und = adj | adj.T
-    np.fill_diagonal(und, False)
-    deg = und.sum(axis=1).astype(np.int64)
+    view = net.view
+    deg = view.und_deg
     triples = int((deg * (deg - 1) // 2).sum())
     if triples == 0:
         return 0.0
-    und_f = und.astype(np.float64)
+    a, b = view.pairs.T
+    und_f = np.zeros((len(deg), len(deg)))
+    und_f[a, b] = und_f[b, a] = 1.0
     paths2 = und_f @ und_f
     closed = float((und_f * paths2).sum())  # 6 * triangles
     return (closed / 2.0) / triples
@@ -208,36 +174,28 @@ def degree_report(net: InteractionNetwork, k: int = 10) -> DegreeReport:
     """Degree histograms plus the top-k hubs (out) and authorities (in)."""
     if k < 0:
         raise UsageError("k must be >= 0")
-    in_deg = {n: 0 for n in net.nodes}
-    out_deg = {n: 0 for n in net.nodes}
-    for src, dst in net.edges:
-        out_deg[src] += 1
-        in_deg[dst] += 1
+    view = net.view
 
-    def histogram(deg: dict[str, int]) -> tuple[tuple[int, int], ...]:
-        counts: dict[int, int] = {}
-        for d in deg.values():
-            counts[d] = counts.get(d, 0) + 1
-        return tuple(sorted(counts.items()))
+    def histogram(deg: np.ndarray) -> tuple[tuple[int, int], ...]:
+        values, counts = np.unique(deg, return_counts=True)
+        return tuple(zip(values.tolist(), counts.tolist()))
 
-    def top(deg: dict[str, int]) -> tuple[tuple[str, int], ...]:
-        ranked = sorted(deg.items(), key=lambda item: (-item[1], item[0]))
-        return tuple(ranked[:k])
+    def top(deg: np.ndarray) -> tuple[tuple[str, int], ...]:
+        ranked = np.argsort(-deg, kind="stable")[:k].tolist()
+        return tuple((view.ids[i], int(deg[i])) for i in ranked)
 
-    total = {n: in_deg[n] + out_deg[n] for n in net.nodes}
     return DegreeReport(
-        in_histogram=histogram(in_deg),
-        out_histogram=histogram(out_deg),
-        total_histogram=histogram(total),
-        hubs=top(out_deg),
-        authorities=top(in_deg),
+        in_histogram=histogram(view.in_deg),
+        out_histogram=histogram(view.out_deg),
+        total_histogram=histogram(view.total_deg),
+        hubs=top(view.out_deg),
+        authorities=top(view.in_deg),
     )
 
 
 def total_degrees(net: InteractionNetwork) -> list[int]:
     """Total degree per node, in node-id order (input to power-law fitting)."""
-    deg = net.degrees()
-    return [deg[n] for n in sorted(net.nodes)]
+    return net.view.total_deg.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -303,29 +261,16 @@ def _er_sample_average_distance(n: int, m: int, rng: np.random.Generator) -> flo
     if m == 0 or n < 2:
         return None
     picks = rng.choice(n * (n - 1) // 2, size=m, replace=False)
-    adj = np.zeros((n, n), dtype=bool)
     # Decode linear indices of the strict upper triangle.
     rows, cols = np.triu_indices(n, k=1)
-    adj[rows[picks], cols[picks]] = True
-    adj |= adj.T
+    a, b = rows[picks], cols[picks]
+    adj = np.zeros((n, n), dtype=bool)
+    adj[a, b] = adj[b, a] = True
 
-    # Giant component by BFS over the boolean matrix.
-    comp_of = np.full(n, -1, dtype=np.int64)
-    comp_id = 0
-    for start in range(n):
-        if comp_of[start] >= 0:
-            continue
-        frontier = np.zeros(n, dtype=bool)
-        frontier[start] = True
-        seen = frontier.copy()
-        while frontier.any():
-            frontier = (adj[frontier].any(axis=0)) & ~seen
-            seen |= frontier
-        comp_of[seen] = comp_id
-        comp_id += 1
-    sizes = np.bincount(comp_of)
-    giant = int(sizes.argmax())
-    members = np.flatnonzero(comp_of == giant)
+    # The first largest component; labels are smallest member indices.
+    labels = component_labels(n, a, b)
+    giant = int(np.bincount(labels).argmax())
+    members = np.flatnonzero(labels == giant)
     if members.size < 2:
         return None
     sub = adj[np.ix_(members, members)]

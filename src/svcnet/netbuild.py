@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 from xml.sax.saxutils import escape, quoteattr
+
+import numpy as np
 
 from .corpus import ParameterDesc, ServiceCollection
 from .errors import SvcnetError, UsageError
@@ -36,6 +39,55 @@ class BuildOptions:
 
     zero_input_targets: bool = False
     reflexive_subsumption: bool = False
+
+
+def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weak-component label of each of ``n`` nodes joined by the links a[k]-b[k]:
+    the smallest node index in its component.
+
+    Min-label propagation with pointer jumping: each round hooks the larger
+    root of every still-split link onto the smaller one, then flattens the
+    label forest, so every round removes at least one root.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+
+
+@dataclass(frozen=True)
+class NetworkView:
+    """Integer-indexed form of an :class:`InteractionNetwork`.
+
+    Node i is ``ids[i]``; ids are sorted, so index order is id order.  Links
+    are ``src[k] -> dst[k]`` in (src, dst) order; ``pairs`` holds the
+    undirected simple projection as rows (i, j), i < j, in row order.
+    ``component`` is the weak-component label of each node (its smallest
+    member index).  The arrays are shared, so they are made read-only.
+    """
+
+    ids: tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    pairs: np.ndarray
+    in_deg: np.ndarray
+    out_deg: np.ndarray
+    und_deg: np.ndarray
+    component: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @property
+    def total_deg(self) -> np.ndarray:
+        return self.in_deg + self.out_deg
 
 
 @dataclass(frozen=True)
@@ -63,15 +115,55 @@ class InteractionNetwork:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
+    @cached_property
+    def view(self) -> NetworkView:
+        """The network's integer view, built on first use; every metric reads it."""
+        ids = tuple(sorted(self.nodes))
+        n = len(ids)
+        index = {node: i for i, node in enumerate(ids)}
+        src = np.fromiter((index[s] for s, _ in self.edges), np.int64, len(self.edges))
+        dst = np.fromiter((index[d] for _, d in self.edges), np.int64, len(self.edges))
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        keys = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+        pairs = np.stack(np.divmod(keys, n), axis=1)
+        return NetworkView(
+            ids=ids,
+            src=src,
+            dst=dst,
+            pairs=pairs,
+            in_deg=np.bincount(dst, minlength=n),
+            out_deg=np.bincount(src, minlength=n),
+            und_deg=np.bincount(pairs.ravel(), minlength=n),
+            component=component_labels(n, pairs[:, 0], pairs[:, 1]),
+        )
 
-    def degrees(self) -> dict[str, int]:
-        deg = {n: 0 for n in self.nodes}
-        for src, dst in self.edges:
-            deg[src] += 1
-            deg[dst] += 1
-        return deg
+    def keep_components(self, keep: np.ndarray) -> InteractionNetwork:
+        """Subnetwork on the view indices where ``keep`` is true.
+
+        ``keep`` must cover whole weak components, so no link leaves it and
+        degrees are unchanged; the subnetwork's view is sliced from this one
+        instead of being built again.
+        """
+        v = self.view
+        renumber = np.cumsum(keep) - 1
+        links = keep[v.src]
+        ids = tuple(v.ids[i] for i in np.flatnonzero(keep).tolist())
+        sub = NetworkView(
+            ids=ids,
+            src=renumber[v.src[links]],
+            dst=renumber[v.dst[links]],
+            pairs=renumber[v.pairs[keep[v.pairs[:, 0]]]],
+            in_deg=v.in_deg[keep],
+            out_deg=v.out_deg[keep],
+            und_deg=v.und_deg[keep],
+            component=renumber[v.component[keep]],
+        )
+        edges = self.edges if links.all() else frozenset(
+            (ids[s], ids[d]) for s, d in zip(sub.src.tolist(), sub.dst.tolist()))
+        net = InteractionNetwork(nodes=ids, edges=edges, kind=self.kind, options=self.options)
+        net.__dict__["view"] = sub  # where cached_property keeps its value
+        return net
 
 
 def build_network(
@@ -143,13 +235,11 @@ def build_network(
 def trim_isolates(net: InteractionNetwork) -> tuple[InteractionNetwork, float]:
     """Drop total-degree-0 nodes; return the trimmed network and the removed
     fraction of the original nodes."""
-    if not net.nodes:
+    linked = net.view.total_deg > 0
+    if linked.all():  # also the empty network
         return net, 0.0
-    deg = net.degrees()
-    kept = tuple(n for n in net.nodes if deg[n] > 0)
-    fraction = (len(net.nodes) - len(kept)) / len(net.nodes)
-    trimmed = InteractionNetwork(nodes=kept, edges=net.edges, kind=net.kind, options=net.options)
-    return trimmed, fraction
+    trimmed = net.keep_components(linked)
+    return trimmed, (len(net.nodes) - len(trimmed.nodes)) / len(net.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +263,21 @@ def export_network(
     if format == "dot":
         return _to_dot(net)
     if format == "edgelist":
-        return "".join(f"{src}\t{dst}\n" for src, dst in net.sorted_edges())
+        return "".join(_edgelist_line(src, dst) for src, dst in sorted(net.edges))
     raise UsageError(f"unknown export format {format!r} (expected one of: "
                      + ", ".join(EXPORT_FORMATS) + ")")
+
+
+def _edgelist_line(src: str, dst: str) -> str:
+    """One ``src<TAB>dst`` line, refused when :func:`read_edgelist` could not
+    read the link back (a tab or line break in an id, an empty id, a line
+    it would skip as blank or as a comment)."""
+    line = f"{src}\t{dst}"
+    if (line.splitlines() != [line] or line.split("\t") != [src, dst] or not (src and dst)
+            or not line.strip() or line.lstrip().startswith("#")):
+        raise SvcnetError(f"link ({src!r}, {dst!r}) cannot be written as an edge-list "
+                          "line; export GraphML instead")
+    return line + "\n"
 
 
 def _to_graphml(net: InteractionNetwork, domains: dict[str, str | None] | None) -> str:
@@ -200,7 +302,7 @@ def _to_graphml(net: InteractionNetwork, domains: dict[str, str | None] | None) 
                 f"    <node id={quoteattr(node)}>"
                 f'<data key="domain">{escape(domain)}</data></node>'
             )
-    for src, dst in net.sorted_edges():
+    for src, dst in sorted(net.edges):
         lines.append(f"    <edge source={quoteattr(src)} target={quoteattr(dst)}/>")
     lines.append("  </graph>")
     lines.append("</graphml>")
@@ -222,7 +324,7 @@ def _to_dot(net: InteractionNetwork) -> str:
     )
     for node in sorted(net.nodes):
         lines.append(f"  {q(node)};")
-    for src, dst in net.sorted_edges():
+    for src, dst in sorted(net.edges):
         lines.append(f"  {q(src)} -> {q(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -270,15 +372,20 @@ def read_graphml(text: str) -> tuple[InteractionNetwork, dict[str, str] | None]:
             raise SvcnetError("GraphML edge without source/target")
         edges.add((src, dst))
 
+    if len(set(nodes)) != len(nodes):
+        raise SvcnetError("GraphML declares a node id more than once")
     kind_value = graph_attrs.get("kind", "")
-    kind = MatcherKind(kind_value) if kind_value else None
     opts = BuildOptions(
         zero_input_targets=graph_attrs.get("zero_input_targets") == "true",
         reflexive_subsumption=graph_attrs.get("reflexive_subsumption") == "true",
     )
-    net = InteractionNetwork(
-        nodes=tuple(sorted(nodes)), edges=frozenset(edges), kind=kind, options=opts
-    )
+    try:
+        kind = MatcherKind(kind_value) if kind_value else None
+        net = InteractionNetwork(
+            nodes=tuple(sorted(nodes)), edges=frozenset(edges), kind=kind, options=opts
+        )
+    except ValueError as exc:  # unknown kind, self-loop, edge to an undeclared node
+        raise SvcnetError(f"invalid GraphML network: {exc}") from None
     return net, (domains or None)
 
 
@@ -286,13 +393,12 @@ def read_edgelist(text: str) -> InteractionNetwork:
     """Parse sorted ``src<TAB>dst`` lines; nodes are the endpoint union."""
     edges = set()
     nodes = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise SvcnetError(f"edge list line {lineno}: expected src<TAB>dst, got {raw!r}")
+            raise SvcnetError(f"edge list line {lineno}: expected src<TAB>dst, got {line!r}")
         src, dst = fields
         nodes.update((src, dst))
         if src != dst:

@@ -9,6 +9,7 @@ small and subsumption queries sit inside the quadratic network build.
 
 from __future__ import annotations
 
+import heapq
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,20 +83,21 @@ def make_ontology(
 
     # Topological pass from roots down; a node is ready once all parents are.
     remaining = {c: len(parents[c]) for c in concepts}
-    queue = sorted(c for c in concepts if remaining[c] == 0)
+    queue = sorted(c for c in concepts if remaining[c] == 0)  # a sorted list is a heap
     ancestors: dict[str, frozenset[str]] = {}
     order: list[str] = []
     while queue:
-        node = queue.pop(0)
+        node = heapq.heappop(queue)
         order.append(node)
         acc: set[str] = set()
         for p in parents[node]:
             acc.add(p)
             acc.update(ancestors[p])
         ancestors[node] = frozenset(acc)
-        ready = sorted(c for c in children[node] if _decrement(remaining, c) == 0)
-        queue.extend(ready)
-        queue.sort()
+        for c in children[node]:
+            remaining[c] -= 1
+            if remaining[c] == 0:
+                heapq.heappush(queue, c)
 
     if len(order) != len(concepts):
         raise OntologyError("subclass cycle: " + _find_cycle(parents, set(order)))
@@ -112,11 +114,6 @@ def make_ontology(
         descendants_of={c: frozenset(d) for c, d in descendants.items() if d},
         warnings=tuple(warnings),
     )
-
-
-def _decrement(counts: dict[str, int], key: str) -> int:
-    counts[key] -= 1
-    return counts[key]
 
 
 def _find_cycle(parents: dict[str, list[str]], done: set[str]) -> str:

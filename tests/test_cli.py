@@ -354,6 +354,47 @@ def test_export_rejects_unknown_format(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def _graphml(kind: str, body: str) -> str:
+    return (
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+        '<key id="kind" for="graph" attr.name="kind" attr.type="string"/>'
+        f'<graph edgedefault="directed"><data key="kind">{kind}</data>{body}</graph></graphml>'
+    )
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("analyze", _graphml("equal", '<node id="a"/><edge source="a" target="b"/>')),
+        ("export", _graphml("bogus", '<node id="a"/><node id="b"/>')),
+        ("analyze", _graphml("equal", '<node id="a"/><edge source="a" target="a"/>')),
+        ("export", _graphml("equal", '<node id="a"/><node id="a"/>')),
+    ],
+    ids=["undeclared-target", "bogus-kind", "self-loop", "duplicate-node"],
+)
+def test_invalid_graphml_is_an_error_not_a_traceback(capsys, tmp_path, command, document):
+    net_file = tmp_path / "bad.graphml"
+    net_file.write_text(document)
+    args = ["--plfit-boot", "0"] if command == "analyze" else ["--format", "edgelist"]
+    code, out, err = run(capsys, command, str(net_file), *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_export_edgelist_refuses_an_id_it_cannot_read_back(capsys, tmp_path):
+    net_file = tmp_path / "tab.graphml"
+    net_file.write_text(
+        _graphml("equal", '<node id="a&#9;x"/><node id="b"/><edge source="a&#9;x" target="b"/>')
+    )
+    code, out, err = run(capsys, "export", str(net_file), "--format", "edgelist")
+    assert code == 1
+    assert out == ""
+    assert "'a\\tx'" in err
+    code, out, _ = run(capsys, "export", str(net_file), "--format", "graphml")
+    assert code == 0 and 'id="a&#9;x"' in out
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

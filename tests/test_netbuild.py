@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import make_net, naive_build, params
 from svcnet.corpus import OperationDesc, ServiceCollection, ServiceDesc
-from svcnet.errors import UsageError
+from svcnet.errors import SvcnetError, UsageError
 from svcnet.gen import GenSpec, generate
 from svcnet.matcher import ALL_KINDS, MatcherKind
 from svcnet.netbuild import (
@@ -207,6 +207,21 @@ def test_edgelist_round_trip_loses_only_metadata(fig1_collection):
     assert again.edges == net.edges
     assert set(again.nodes) == {n for e in net.edges for n in e}
     assert again.kind is None
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [("a\tx", "b"), ("a", "b\nc"), ("a", "b\r"), ("a", "b\u2028"), ("", "b"), ("#a", "b"),
+     (" #a", "b"), (" ", "\u3000")],
+)
+def test_edgelist_export_refuses_links_it_cannot_read_back(edge):
+    with pytest.raises(SvcnetError, match="edge-list"):
+        export_network(make_net([edge]), "edgelist")
+
+
+def test_edgelist_export_reads_back_unusual_ids():
+    net = make_net([("a#", "#b"), (" a", "b "), ("é", "a b")])
+    assert read_edgelist(export_network(net, "edgelist")).edges == net.edges
 
 
 def test_dot_output_shape():
