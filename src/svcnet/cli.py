@@ -372,7 +372,7 @@ def _load_network_file(
 ) -> tuple[InteractionNetwork, dict[str, str] | None]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if force_graphml or path.suffix.lower() in (".graphml", ".xml") or text.lstrip().startswith("<"):
         return read_graphml(text)
@@ -619,6 +619,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SvcnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # Input files report their own read errors where they are opened, so
+        # what reaches here is an output that could not be written.
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

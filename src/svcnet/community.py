@@ -45,10 +45,6 @@ class Dendrogram:
     trees: tuple[DendroTree, ...]
 
     @property
-    def n_leaves(self) -> int:
-        return sum(len(t.leaves) for t in self.trees)
-
-    @property
     def n_merges(self) -> int:
         return sum(len(t.merges) for t in self.trees)
 

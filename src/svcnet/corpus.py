@@ -536,7 +536,7 @@ def _load_manifest(dirpath: Path, warnings: list[str]) -> dict[str, str]:
         return {}
     try:
         data = json.loads(manifest.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         warnings.append(f"{manifest}: unreadable manifest ignored: {exc}")
         return {}
     if not isinstance(data, dict):

@@ -26,10 +26,6 @@ class MatcherKind(enum.Enum):
     PLUGIN = "plugin"
     SUBSUME = "subsume"
 
-    @property
-    def is_semantic(self) -> bool:
-        return self is not MatcherKind.EQUAL
-
     @classmethod
     def from_name(cls, name: str) -> "MatcherKind":
         try:

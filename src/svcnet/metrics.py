@@ -6,10 +6,11 @@ with hub/authority rankings, and the Erdos-Renyi small-world baseline.
 
 All of them read the network's cached integer view
 (:attr:`InteractionNetwork.view`).  Distances come from a level-synchronous
-BFS run from every node at once over the dense adjacency matrix; averages
-are taken over reachable ordered pairs only and the excluded count is
-reported, so the convention is auditable.  Weak connectivity is used for
-components throughout.
+BFS run from every node at once over the dense adjacency matrix; it counts
+the pairs each level reaches and stores no distance matrix.  Averages are
+taken over reachable ordered pairs only and the excluded count is reported,
+so the convention is auditable.  Weak connectivity is used for components
+throughout.
 """
 
 from __future__ import annotations
@@ -62,29 +63,30 @@ class SmallWorldReport:
 # ---------------------------------------------------------------------------
 
 
-def _all_pairs_distances(adj: np.ndarray) -> np.ndarray:
-    """Directed distance matrix (np.inf where unreachable, 0 on the diagonal).
+def _distance_totals(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, int, int]:
+    """Reachable ordered pairs, the sum of their distances and the diameter
+    of the digraph on nodes ``0..n-1`` with links ``src[k] -> dst[k]``.
 
-    Level-synchronous BFS from all sources simultaneously: one boolean matrix
-    product per BFS level.
+    Level-synchronous BFS from all sources simultaneously: one float32 matrix
+    product per BFS level.  Each level adds its newly reached pairs to the
+    totals, so no distance matrix is stored.
     """
-    n = adj.shape[0]
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    reached = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
-    adj_f = adj.astype(np.float32)
-    level = 0
-    while frontier.any():
+    adj = np.zeros((n, n), dtype=np.float32)
+    adj[src, dst] = 1.0
+    frontier = np.eye(n, dtype=np.float32)
+    unreached = ~np.eye(n, dtype=bool)
+    pairs = total = level = 0
+    while True:
+        nxt = (frontier @ adj) > 0
+        nxt &= unreached
+        count = int(np.count_nonzero(nxt))
+        if count == 0:
+            return pairs, total, level
         level += 1
-        nxt = (frontier.astype(np.float32) @ adj_f) > 0
-        nxt &= ~reached
-        if not nxt.any():
-            break
-        dist[nxt] = level
-        reached |= nxt
-        frontier = nxt
-    return dist
+        pairs += count
+        total += level * count
+        unreached ^= nxt
+        frontier[...] = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +128,13 @@ def giant_component(net: InteractionNetwork) -> InteractionNetwork:
 def distance_report(net: InteractionNetwork) -> DistanceReport:
     """Average directed distance and diameter over reachable ordered pairs."""
     n = net.n_nodes
-    view = net.view
-    adj = np.zeros((n, n), dtype=bool)
-    adj[view.src, view.dst] = True
-    dist = _all_pairs_distances(adj)
-    off_diag = ~np.eye(n, dtype=bool)
-    finite = np.isfinite(dist) & off_diag
-    reachable = int(finite.sum())
+    reachable, total, diameter = _distance_totals(n, net.view.src, net.view.dst)
     unreachable = n * (n - 1) - reachable
     if reachable == 0:
         return DistanceReport(None, None, 0, unreachable)
-    values = dist[finite]
     return DistanceReport(
-        average_distance=float(values.sum() / reachable),
-        diameter=int(values.max()),
+        average_distance=total / reachable,
+        diameter=diameter,
         reachable_ordered_pairs=reachable,
         unreachable_ordered_pairs=unreachable,
     )
@@ -158,11 +153,12 @@ def transitivity(net: InteractionNetwork) -> float:
     if triples == 0:
         return 0.0
     a, b = view.pairs.T
-    und_f = np.zeros((len(deg), len(deg)))
-    und_f[a, b] = und_f[b, a] = 1.0
-    paths2 = und_f @ und_f
-    closed = float((und_f * paths2).sum())  # 6 * triangles
-    return (closed / 2.0) / triples
+    und = np.zeros((len(deg), len(deg)), dtype=np.float32)
+    und[a, b] = und[b, a] = 1.0
+    # Each triangle closes a 2-path across each of its three links.  A 2-path
+    # count is at most n, so float32 holds it exactly (n < 2**24).
+    closed = float((und @ und)[a, b].sum(dtype=np.float64))
+    return closed / triples
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +257,21 @@ def _er_sample_average_distance(n: int, m: int, rng: np.random.Generator) -> flo
     if m == 0 or n < 2:
         return None
     picks = rng.choice(n * (n - 1) // 2, size=m, replace=False)
-    # Decode linear indices of the strict upper triangle.
-    rows, cols = np.triu_indices(n, k=1)
-    a, b = rows[picks], cols[picks]
-    adj = np.zeros((n, n), dtype=bool)
-    adj[a, b] = adj[b, a] = True
+    # Decode linear indices of the strict upper triangle, row-major: row i
+    # starts at i*(2n-i-1)/2.
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2
+    a = np.searchsorted(starts, picks, side="right") - 1
+    b = picks - starts[a] + a + 1
 
     # The first largest component; labels are smallest member indices.
     labels = component_labels(n, a, b)
-    giant = int(np.bincount(labels).argmax())
-    members = np.flatnonzero(labels == giant)
-    if members.size < 2:
+    in_giant = labels == np.bincount(labels).argmax()
+    size = int(np.count_nonzero(in_giant))
+    if size < 2:
         return None
-    sub = adj[np.ix_(members, members)]
-    dist = _all_pairs_distances(sub)
-    off = ~np.eye(members.size, dtype=bool)
-    return float(dist[off].mean())
+    index = np.cumsum(in_giant) - 1
+    kept = in_giant[a]
+    a, b = index[a[kept]], index[b[kept]]
+    pairs, total, _ = _distance_totals(size, np.concatenate((a, b)), np.concatenate((b, a)))
+    return total / pairs

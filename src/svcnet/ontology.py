@@ -134,7 +134,7 @@ def load_ontology(source: str | Path) -> Ontology:
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise OntologyError(f"cannot read ontology {path}: {exc}") from exc
     return parse_ontology(text, str(path))
 

@@ -395,6 +395,62 @@ def test_export_edgelist_refuses_an_id_it_cannot_read_back(capsys, tmp_path):
     assert code == 0 and 'id="a&#9;x"' in out
 
 
+NOT_UTF8 = b"\xff\xfe"
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (("analyze", "{bin}", "--plfit-boot", "0"), 2),
+        (("analyze", "{bin}", "--from-graphml", "--plfit-boot", "0"), 2),
+        (("export", "{bin}", "--format", "edgelist"), 2),
+        (("compare", "{coll}", "--ontology", "{bin}", "--plfit-boot", "0"), 1),
+    ],
+    ids=["analyze", "analyze-graphml", "export", "compare-ontology"],
+)
+def test_non_utf8_input_is_an_error_not_a_traceback(capsys, fig1_dir, tmp_path, argv,
+                                                     expected_code):
+    bin_file = tmp_path / "bin.txt"
+    bin_file.write_bytes(NOT_UTF8)
+    args = [a.format(bin=bin_file, coll=fig1_dir) for a in argv]
+    code, out, err = run(capsys, *args)
+    assert code == expected_code
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+
+
+def test_non_utf8_manifest_is_a_collection_warning(capsys, fig1_dir):
+    (fig1_dir / "manifest.json").write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "extract", str(fig1_dir), "--matcher", "equal",
+                         "--format", "edgelist")
+    assert code == 0
+    assert out == "figure1::op1\tfigure1::op2\n"
+    warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert len(warnings) == 1 and "unreadable manifest ignored" in warnings[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{net}", "--plfit-boot", "0", "-o", "{missing}/r.json"),
+        ("compare", "{coll}", "--plfit-boot", "0", "-o", "{tmp}/c.json",
+         "--csv", "{missing}/t.csv"),
+        ("gen", "{file}/x", "--services", "3"),
+    ],
+    ids=["analyze-output", "compare-csv", "gen-under-a-file"],
+)
+def test_unwritable_output_is_an_error_not_a_traceback(capsys, fig1_dir, tmp_path, argv):
+    net_file = tmp_path / "net.edgelist"
+    net_file.write_text("a\tb\n")
+    (tmp_path / "file").write_text("")
+    args = [a.format(net=net_file, coll=fig1_dir, tmp=tmp_path, file=tmp_path / "file",
+                     missing=tmp_path / "missing" / "dir") for a in argv]
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: cannot write ") and "Traceback" not in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

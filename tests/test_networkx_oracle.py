@@ -2,7 +2,8 @@
 
 Random digraphs with isolated nodes and many small components exercise the
 component order, the giant, directed distances, transitivity and the
-modularity of the chosen Walktrap cut.
+modularity of the chosen Walktrap cut.  The Erdos-Renyi baseline is rebuilt
+sample by sample from its documented random streams.
 """
 
 from __future__ import annotations
@@ -11,7 +12,13 @@ import numpy as np
 import pytest
 
 from svcnet.community import best_partition, modularity, walktrap
-from svcnet.metrics import distance_report, giant_component, transitivity, weak_components
+from svcnet.metrics import (
+    distance_report,
+    er_baseline,
+    giant_component,
+    transitivity,
+    weak_components,
+)
 from svcnet.netbuild import InteractionNetwork
 
 nx = pytest.importorskip("networkx")
@@ -74,3 +81,27 @@ def test_giant_metrics_match_networkx(n, density, isolated, seed):
         expected = nx.community.modularity(undirected, part.communities())
         assert score.q == pytest.approx(expected, abs=1e-12)
         assert modularity(giant, part).q == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed",
+    # m=2 on 30 nodes: every sample's giant is a single link of 2 nodes.
+    [(30, 2, 4), (40, 12, 0), (60, 45, 1), (120, 300, 2), (200, 160, 7)],
+)
+def test_er_baseline_matches_networkx(n, m, seed):
+    samples = 10
+    rows, cols = np.triu_indices(n, k=1)  # reference decoder of the sampled pair indices
+    averages = []
+    for s in range(samples):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, s])))
+        picks = rng.choice(n * (n - 1) // 2, size=m, replace=False)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(zip(rows[picks].tolist(), cols[picks].tolist()))
+        # The first largest component: ties go to the smallest member.
+        giant = max(nx.connected_components(graph), key=lambda c: (len(c), -min(c)))
+        if len(giant) >= 2:
+            averages.append(nx.average_shortest_path_length(graph.subgraph(giant)))
+    report = er_baseline(n, m, samples=samples, seed=seed)
+    assert report.er_sampled_mean == float(np.mean(averages))
+    assert report.er_sampled_stddev == float(np.std(averages))
