@@ -363,6 +363,13 @@ def report_to_csv(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _load_collection_arg(path) -> ServiceCollection:
+    coll = load_collection(path)
+    for warning in coll.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return coll
+
+
 def _load_ontology_arg(path: str | None) -> Ontology | None:
     return load_ontology(path) if path else None
 
@@ -407,9 +414,7 @@ def _write_output(text: str, output: str | None) -> None:
 
 def cmd_extract(args) -> int:
     kind, onto = _resolve_build_inputs(args)
-    coll = load_collection(args.collection)
-    for warning in coll.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    coll = _load_collection_arg(args.collection)
     opts = BuildOptions(
         zero_input_targets=args.zero_input_targets,
         reflexive_subsumption=args.reflexive_subsumption,
@@ -438,7 +443,7 @@ def cmd_analyze(args) -> int:
         if not args.matcher:
             raise UsageError("analyzing a collection directory requires --matcher")
         kind, onto = _resolve_build_inputs(args)
-        coll = load_collection(target)
+        coll = _load_collection_arg(target)
         net = build_network(coll, kind, onto, opts)
         domains = coll.domain_of_operation()
     else:
@@ -461,7 +466,7 @@ def cmd_compare(args) -> int:
         seed=args.seed, walk_length=args.walk_length, plfit_boot=args.plfit_boot
     )
     params.validate()
-    coll = load_collection(args.collection)
+    coll = _load_collection_arg(args.collection)
     onto = _load_ontology_arg(args.ontology)
     if onto is None:
         print(

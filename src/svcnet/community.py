@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import ServiceCollection
 from .errors import SvcnetError, UsageError
-from .netbuild import InteractionNetwork, NetworkView
+from .netbuild import InteractionNetwork
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,16 @@ class ModularityScore:
     q: float
 
 
-def _pairs_within(
-    view: NetworkView, blocks: list[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _pairs_within(net: InteractionNetwork,
+                  blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per block of a partition of the node indices, the undirected pairs with
     both ends in the block, as positions within it, in pair order."""
-    group = np.empty(len(view.ids), dtype=np.int64)
-    local = np.empty(len(view.ids), dtype=np.int64)
+    group = np.empty(net.n_nodes, dtype=np.int64)
+    local = np.empty(net.n_nodes, dtype=np.int64)
     for g, block in enumerate(blocks):
         group[block] = g
         local[block] = np.arange(len(block))
-    a, b = view.pairs.T
+    a, b = net.view.pairs.T
     inside = group[a] == group[b]
     a, b = a[inside], b[inside]
     order = np.argsort(group[a], kind="stable")
@@ -103,8 +102,8 @@ def walktrap(net: InteractionNetwork, walk_length: int = 4) -> Dendrogram:
     _, sizes = np.unique(view.component, return_counts=True)
     blocks = np.split(np.argsort(view.component, kind="stable"), np.cumsum(sizes)[:-1])
     trees = [
-        _walktrap_component(tuple(view.ids[i] for i in block.tolist()), a, b, walk_length)
-        for block, (a, b) in zip(blocks, _pairs_within(view, blocks))
+        _walktrap_component(tuple(net.ids[i] for i in block.tolist()), a, b, walk_length)
+        for block, (a, b) in zip(blocks, _pairs_within(net, blocks))
     ]
     return Dendrogram(trees=tuple(trees))
 
@@ -199,7 +198,7 @@ def modularity(net: InteractionNetwork, partition: Partition) -> ModularityScore
 
     # Community ids renumbered 0..k-1 in sorted order.
     labels, community = np.unique(
-        [partition.assignment[node] for node in view.ids], return_inverse=True
+        [partition.assignment[node] for node in net.ids], return_inverse=True
     )
     ca, cb = community[view.pairs.T]
     internal = np.bincount(ca[ca == cb], minlength=len(labels)).tolist()
@@ -222,19 +221,19 @@ def best_partition(
     maximum over all combined cuts.
     """
     view = net.view
-    if sorted(leaf for tree in dendrogram.trees for leaf in tree.leaves) != list(view.ids):
+    if sorted(leaf for tree in dendrogram.trees for leaf in tree.leaves) != list(net.ids):
         raise SvcnetError("dendrogram does not cover the network's nodes")
     m = len(view.pairs)
     groups: list[list[str]] = []
     if m == 0:
-        groups = [[n] for n in view.ids]
+        groups = [[n] for n in net.ids]
         q_total = 0.0
     else:
         deg = view.und_deg.tolist()
         q_total = sum(-((d / (2 * m)) ** 2) for d in deg)
-        index = {node: i for i, node in enumerate(view.ids)}
+        index = {node: i for i, node in enumerate(net.ids)}
         blocks = [np.fromiter(map(index.get, tree.leaves), np.int64) for tree in dendrogram.trees]
-        for tree, block, (a, b) in zip(dendrogram.trees, blocks, _pairs_within(view, blocks)):
+        for tree, block, (a, b) in zip(dendrogram.trees, blocks, _pairs_within(net, blocks)):
             chosen, q_gain = _best_tree_cut(tree, a, b, [deg[i] for i in block.tolist()], m)
             q_total += q_gain
             groups.extend(chosen)

@@ -35,7 +35,7 @@ class CorpusError(SvcnetError):
 
 
 def _is_absolute_iri(text: str) -> bool:
-    if any(ch.isspace() for ch in text):
+    if text.split() != [text]:  # whitespace anywhere, or empty
         return False
     try:
         return bool(urlsplit(text).scheme)

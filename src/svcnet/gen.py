@@ -324,5 +324,5 @@ def planted_partition(
             p = p_in if blocks[nodes[i]] == blocks[nodes[j]] else p_out
             if rng.random() < p:
                 edges.add((nodes[i], nodes[j]))
-    net = InteractionNetwork(nodes=nodes, edges=frozenset(edges), kind=None)
+    net = InteractionNetwork(nodes=nodes, edges=edges)
     return net, blocks

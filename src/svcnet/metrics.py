@@ -4,13 +4,13 @@ Components and the giant component, directed distances (average and
 diameter), transitivity on the undirected simplification, degree statistics
 with hub/authority rankings, and the Erdos-Renyi small-world baseline.
 
-All of them read the network's cached integer view
-(:attr:`InteractionNetwork.view`).  Distances come from a level-synchronous
-BFS run from every node at once over the dense adjacency matrix; it counts
-the pairs each level reaches and stores no distance matrix.  Averages are
-taken over reachable ordered pairs only and the excluded count is reported,
-so the convention is auditable.  Weak connectivity is used for components
-throughout.
+All of them read the network's integer links (``src``/``dst``) and its
+cached view of derived arrays (:attr:`InteractionNetwork.view`).  Distances
+come from a level-synchronous BFS run from every node at once over the dense
+adjacency matrix; it counts the pairs each level reaches and stores no
+distance matrix.  Averages are taken over reachable ordered pairs only and
+the excluded count is reported, so the convention is auditable.  Weak
+connectivity is used for components throughout.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def weak_components(net: InteractionNetwork) -> ComponentReport:
     if not net.nodes:
         return ComponentReport((), 0.0, 0.0)
     labels, sizes = _components_by_size(net)
-    giant_links = int((net.view.component[net.view.src] == labels[0]).sum())
+    giant_links = int((net.view.component[net.src] == labels[0]).sum())
     node_fraction = int(sizes[0]) / len(net.nodes)
-    link_fraction = giant_links / len(net.edges) if net.edges else 0.0
+    link_fraction = giant_links / net.n_edges if net.n_edges else 0.0
     return ComponentReport(tuple(sizes.tolist()), node_fraction, link_fraction)
 
 
@@ -128,7 +128,7 @@ def giant_component(net: InteractionNetwork) -> InteractionNetwork:
 def distance_report(net: InteractionNetwork) -> DistanceReport:
     """Average directed distance and diameter over reachable ordered pairs."""
     n = net.n_nodes
-    reachable, total, diameter = _distance_totals(n, net.view.src, net.view.dst)
+    reachable, total, diameter = _distance_totals(n, net.src, net.dst)
     unreachable = n * (n - 1) - reachable
     if reachable == 0:
         return DistanceReport(None, None, 0, unreachable)
@@ -178,7 +178,7 @@ def degree_report(net: InteractionNetwork, k: int = 10) -> DegreeReport:
 
     def top(deg: np.ndarray) -> tuple[tuple[str, int], ...]:
         ranked = np.argsort(-deg, kind="stable")[:k].tolist()
-        return tuple((view.ids[i], int(deg[i])) for i in ranked)
+        return tuple((net.ids[i], int(deg[i])) for i in ranked)
 
     return DegreeReport(
         in_histogram=histogram(view.in_deg),

@@ -6,13 +6,16 @@ a matching output parameter exists in i's outputs, i.e. i can supply all the
 information j requires.  Candidate producers are generated through an inverted
 index keyed by name or concept (expanded along the hierarchy for plug-in and
 subsume), which is equivalent to the naive double loop over operation pairs.
+A network is built, trimmed and exported as its sorted integer links.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -62,18 +65,13 @@ def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkView:
-    """Integer-indexed form of an :class:`InteractionNetwork`.
+    """Arrays derived from a network's links, built on first use.
 
-    Node i is ``ids[i]``; ids are sorted, so index order is id order.  Links
-    are ``src[k] -> dst[k]`` in (src, dst) order; ``pairs`` holds the
-    undirected simple projection as rows (i, j), i < j, in row order.
-    ``component`` is the weak-component label of each node (its smallest
-    member index).  The arrays are shared, so they are made read-only.
+    ``pairs`` holds the undirected simple projection as rows (i, j), i < j, in
+    row order.  ``component`` is the weak-component label of each node (its
+    smallest member index).  The arrays are shared, so they are made read-only.
     """
 
-    ids: tuple[str, ...]
-    src: np.ndarray
-    dst: np.ndarray
     pairs: np.ndarray
     in_deg: np.ndarray
     out_deg: np.ndarray
@@ -82,88 +80,97 @@ class NetworkView:
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            value.flags.writeable = False
 
     @property
     def total_deg(self) -> np.ndarray:
         return self.in_deg + self.out_deg
 
 
-@dataclass(frozen=True)
 class InteractionNetwork:
-    """Simple digraph: nodes are operation ids, edge (i, j) means i can feed j."""
+    """Simple digraph: nodes are operation ids, link (i, j) means i can feed j.
 
-    nodes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-    kind: MatcherKind | None = None
-    options: BuildOptions = field(default_factory=BuildOptions)
+    Node i is ``ids[i]``; ids are sorted, so index order is id order.  Link k
+    is ``src[k] -> dst[k]``, in (src, dst) order, which is also the order of
+    the id pairs.  The arrays are read-only.  The constructor indexes outside
+    ids and id pairs and refuses duplicate ids, self-loops and links to
+    undeclared nodes with ``ValueError``.
+    """
 
-    def __post_init__(self) -> None:
-        node_set = set(self.nodes)
-        for src, dst in self.edges:
+    # __new__ rather than __init__: checked input and trusted links both end
+    # in _from_links, the one place that stores a network
+    def __new__(cls, nodes: Iterable[str] = (), edges: Iterable[tuple[str, str]] = (),
+                kind: MatcherKind | None = None, options: BuildOptions = BuildOptions()):
+        ids = tuple(sorted(nodes))
+        index = {node: i for i, node in enumerate(ids)}
+        if len(index) != len(ids):
+            duplicate = next(a for a, b in zip(ids, ids[1:]) if a == b)
+            raise ValueError(f"duplicate node id {duplicate!r}")
+        keys = []
+        for src, dst in edges:
             if src == dst:
                 raise ValueError(f"self-loop on {src!r}")
-            if src not in node_set or dst not in node_set:
+            if src not in index or dst not in index:
                 raise ValueError(f"edge endpoint not a node: ({src!r}, {dst!r})")
+            keys.append(index[src] * len(ids) + index[dst])
+        links = np.divmod(np.unique(np.array(keys, dtype=np.int64)), max(len(ids), 1))
+        return cls._from_links(ids, *links, kind, options)
+
+    @classmethod
+    def _from_links(cls, ids, src, dst, kind, options) -> InteractionNetwork:
+        """Trusted constructor: sorted unique ids, links sorted by (src, dst)."""
+        net = object.__new__(cls)
+        src.flags.writeable = dst.flags.writeable = False
+        net.ids, net.src, net.dst, net.kind, net.options = ids, src, dst, kind, options
+        return net
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, InteractionNetwork)
+                and (self.ids, self.kind, self.options) == (other.ids, other.kind, other.options)
+                and np.array_equal(self.src, other.src) and np.array_equal(self.dst, other.dst))
+
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return self.ids
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The links as id pairs, built on each call."""
+        ids = self.ids
+        return frozenset((ids[s], ids[d]) for s, d in zip(self.src.tolist(), self.dst.tolist()))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.src)
 
     @cached_property
     def view(self) -> NetworkView:
-        """The network's integer view, built on first use; every metric reads it."""
-        ids = tuple(sorted(self.nodes))
-        n = len(ids)
-        index = {node: i for i, node in enumerate(ids)}
-        src = np.fromiter((index[s] for s, _ in self.edges), np.int64, len(self.edges))
-        dst = np.fromiter((index[d] for _, d in self.edges), np.int64, len(self.edges))
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        keys = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+        """The arrays every metric reads, derived from the links on first use."""
+        n = len(self.ids)
+        keys = np.unique(np.minimum(self.src, self.dst) * n + np.maximum(self.src, self.dst))
         pairs = np.stack(np.divmod(keys, n), axis=1)
         return NetworkView(
-            ids=ids,
-            src=src,
-            dst=dst,
             pairs=pairs,
-            in_deg=np.bincount(dst, minlength=n),
-            out_deg=np.bincount(src, minlength=n),
+            in_deg=np.bincount(self.dst, minlength=n),
+            out_deg=np.bincount(self.src, minlength=n),
             und_deg=np.bincount(pairs.ravel(), minlength=n),
             component=component_labels(n, pairs[:, 0], pairs[:, 1]),
         )
 
     def keep_components(self, keep: np.ndarray) -> InteractionNetwork:
-        """Subnetwork on the view indices where ``keep`` is true.
-
-        ``keep`` must cover whole weak components, so no link leaves it and
-        degrees are unchanged; the subnetwork's view is sliced from this one
-        instead of being built again.
-        """
-        v = self.view
+        """Subnetwork on the nodes where ``keep`` is true (whole weak components);
+        renumbering keeps index order, so the kept links stay sorted."""
+        if keep.all():
+            return self
         renumber = np.cumsum(keep) - 1
-        links = keep[v.src]
-        ids = tuple(v.ids[i] for i in np.flatnonzero(keep).tolist())
-        sub = NetworkView(
-            ids=ids,
-            src=renumber[v.src[links]],
-            dst=renumber[v.dst[links]],
-            pairs=renumber[v.pairs[keep[v.pairs[:, 0]]]],
-            in_deg=v.in_deg[keep],
-            out_deg=v.out_deg[keep],
-            und_deg=v.und_deg[keep],
-            component=renumber[v.component[keep]],
-        )
-        edges = self.edges if links.all() else frozenset(
-            (ids[s], ids[d]) for s, d in zip(sub.src.tolist(), sub.dst.tolist()))
-        net = InteractionNetwork(nodes=ids, edges=edges, kind=self.kind, options=self.options)
-        net.__dict__["view"] = sub  # where cached_property keeps its value
-        return net
+        links = keep[self.src] & keep[self.dst]
+        return InteractionNetwork._from_links(
+            tuple(compress(self.ids, keep.tolist())), renumber[self.src[links]],
+            renumber[self.dst[links]], self.kind, self.options)
 
 
 def build_network(
@@ -181,43 +188,33 @@ def build_network(
         raise UsageError(f"{kind.value} matching requires an ontology")
 
     ops = sorted(coll.operations(), key=lambda op: op.op_id)
-    node_ids = tuple(op.op_id for op in ops)
-    if len(set(node_ids)) != len(node_ids):
+    ids = tuple(op.op_id for op in ops)
+    if len(set(ids)) != len(ids):
         raise SvcnetError("operation ids are not unique within the collection")
 
-    producers: dict[str, set[str]] = {}
-    for op in ops:
+    producers: dict[str, set[int]] = {}
+    for i, op in enumerate(ops):
         for q in op.outputs:
             key = q.name if kind is MatcherKind.EQUAL else q.concept
             if key is not None:
-                producers.setdefault(key, set()).add(op.op_id)
+                producers.setdefault(key, set()).add(i)
 
-    def candidates(p: ParameterDesc) -> set[str]:
+    def candidates(p: ParameterDesc) -> set[int]:
         if kind is MatcherKind.EQUAL:
             return producers.get(p.name, set())
         if p.concept is None:
             return set()
         if kind is MatcherKind.EXACT:
             return producers.get(p.concept, set())
-        if kind is MatcherKind.PLUGIN:
-            keys = set(onto.descendants(p.concept))
-        else:
-            keys = set(onto.ancestors(p.concept))
+        keys = (onto.descendants if kind is MatcherKind.PLUGIN else onto.ancestors)(p.concept)
         if opts.reflexive_subsumption:
-            keys.add(p.concept)
-        found: set[str] = set()
-        for key in keys:
-            found |= producers.get(key, set())
-        return found
+            keys = keys | {p.concept}
+        return set().union(*(producers.get(key, ()) for key in keys))
 
-    edges: set[tuple[str, str]] = set()
-    all_ids = set(node_ids)
-    for op in ops:
-        if not op.inputs:
-            if opts.zero_input_targets:
-                edges.update((i, op.op_id) for i in all_ids if i != op.op_id)
-            continue
-        feeders: set[str] | None = None
+    src: list[int] = []
+    dst: list[int] = []
+    for j, op in enumerate(ops):
+        feeders = set(range(len(ops))) if not op.inputs and opts.zero_input_targets else None
         for p in sorted(op.inputs, key=lambda p: (p.name, p.concept or "")):
             cand = candidates(p)
             # copy: candidates() may hand back an index set, and feeders is
@@ -226,20 +223,21 @@ def build_network(
             if not feeders:
                 break
         if feeders:
-            feeders.discard(op.op_id)
-            edges.update((i, op.op_id) for i in feeders)
+            feeders.discard(j)
+            src.extend(feeders)
+            dst.extend([j] * len(feeders))
 
-    return InteractionNetwork(nodes=node_ids, edges=frozenset(edges), kind=kind, options=opts)
+    links = np.array([src, dst], dtype=np.int64)
+    return InteractionNetwork._from_links(ids, *links[:, np.lexsort(links[::-1])], kind, opts)
 
 
 def trim_isolates(net: InteractionNetwork) -> tuple[InteractionNetwork, float]:
     """Drop total-degree-0 nodes; return the trimmed network and the removed
     fraction of the original nodes."""
-    linked = net.view.total_deg > 0
-    if linked.all():  # also the empty network
-        return net, 0.0
+    linked = np.zeros(net.n_nodes, dtype=bool)
+    linked[net.src] = linked[net.dst] = True
     trimmed = net.keep_components(linked)
-    return trimmed, (len(net.nodes) - len(trimmed.nodes)) / len(net.nodes)
+    return trimmed, (net.n_nodes - trimmed.n_nodes) / (net.n_nodes or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,7 @@ def export_network(
     format: str,
     domains: dict[str, str | None] | None = None,
 ) -> str:
-    """Render the network; nodes and edges are sorted so output is stable.
+    """Render the network; nodes and links come in id order, so output is stable.
 
     Only GraphML preserves isolated nodes, the matcher kind, the build options
     and (optionally) per-node domain labels; the edge list is just sorted
@@ -263,7 +261,9 @@ def export_network(
     if format == "dot":
         return _to_dot(net)
     if format == "edgelist":
-        return "".join(_edgelist_line(src, dst) for src, dst in sorted(net.edges))
+        ids = net.ids
+        return "".join(_edgelist_line(ids[s], ids[d])
+                       for s, d in zip(net.src.tolist(), net.dst.tolist()))
     raise UsageError(f"unknown export format {format!r} (expected one of: "
                      + ", ".join(EXPORT_FORMATS) + ")")
 
@@ -293,17 +293,15 @@ def _to_graphml(net: InteractionNetwork, domains: dict[str, str | None] | None) 
         f'    <data key="zit">{str(net.options.zero_input_targets).lower()}</data>',
         f'    <data key="rs">{str(net.options.reflexive_subsumption).lower()}</data>',
     ]
-    for node in sorted(net.nodes):
+    quoted = [quoteattr(node) for node in net.ids]
+    for node, q in zip(net.ids, quoted):
         domain = domains.get(node) if domains else None
         if domain is None:
-            lines.append(f"    <node id={quoteattr(node)}/>")
+            lines.append(f"    <node id={q}/>")
         else:
-            lines.append(
-                f"    <node id={quoteattr(node)}>"
-                f'<data key="domain">{escape(domain)}</data></node>'
-            )
-    for src, dst in sorted(net.edges):
-        lines.append(f"    <edge source={quoteattr(src)} target={quoteattr(dst)}/>")
+            lines.append(f'    <node id={q}><data key="domain">{escape(domain)}</data></node>')
+    lines.extend(f"    <edge source={quoted[s]} target={quoted[d]}/>"
+                 for s, d in zip(net.src.tolist(), net.dst.tolist()))
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"
@@ -322,10 +320,10 @@ def _to_dot(net: InteractionNetwork) -> str:
             q(str(net.options.reflexive_subsumption).lower()),
         )
     )
-    for node in sorted(net.nodes):
-        lines.append(f"  {q(node)};")
-    for src, dst in sorted(net.edges):
-        lines.append(f"  {q(src)} -> {q(dst)};")
+    quoted = [q(node) for node in net.ids]
+    lines.extend(f"  {node};" for node in quoted)
+    lines.extend(f"  {quoted[s]} -> {quoted[d]};"
+                 for s, d in zip(net.src.tolist(), net.dst.tolist()))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -372,8 +370,6 @@ def read_graphml(text: str) -> tuple[InteractionNetwork, dict[str, str] | None]:
             raise SvcnetError("GraphML edge without source/target")
         edges.add((src, dst))
 
-    if len(set(nodes)) != len(nodes):
-        raise SvcnetError("GraphML declares a node id more than once")
     kind_value = graph_attrs.get("kind", "")
     opts = BuildOptions(
         zero_input_targets=graph_attrs.get("zero_input_targets") == "true",
@@ -381,10 +377,8 @@ def read_graphml(text: str) -> tuple[InteractionNetwork, dict[str, str] | None]:
     )
     try:
         kind = MatcherKind(kind_value) if kind_value else None
-        net = InteractionNetwork(
-            nodes=tuple(sorted(nodes)), edges=frozenset(edges), kind=kind, options=opts
-        )
-    except ValueError as exc:  # unknown kind, self-loop, edge to an undeclared node
+        net = InteractionNetwork(nodes=nodes, edges=edges, kind=kind, options=opts)
+    except ValueError as exc:  # unknown kind, duplicate id, self-loop, undeclared endpoint
         raise SvcnetError(f"invalid GraphML network: {exc}") from None
     return net, (domains or None)
 
@@ -403,4 +397,4 @@ def read_edgelist(text: str) -> InteractionNetwork:
         nodes.update((src, dst))
         if src != dst:
             edges.add((src, dst))
-    return InteractionNetwork(nodes=tuple(sorted(nodes)), edges=frozenset(edges), kind=None)
+    return InteractionNetwork(nodes=nodes, edges=edges)

@@ -429,6 +429,30 @@ def test_non_utf8_manifest_is_a_collection_warning(capsys, fig1_dir):
     assert len(warnings) == 1 and "unreadable manifest ignored" in warnings[0]
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "{coll}", "--plfit-boot", "0"),
+        ("analyze", "{coll}", "--matcher", "equal", "--plfit-boot", "0"),
+    ],
+    ids=["compare", "analyze-directory"],
+)
+def test_collection_warnings_are_printed(capsys, fig1_dir, argv):
+    args = [a.format(coll=fig1_dir) for a in argv]
+    code, clean, _ = run(capsys, *args)
+    assert code == 0
+    (fig1_dir / "manifest.json").write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert any(line.startswith("warning: ") and "unreadable manifest ignored" in line
+               for line in err.splitlines())
+    # the ignored manifest leaves the report as it was, but for the count
+    expected = json.loads(clean)
+    if "collection" in expected:
+        expected["collection"]["warnings"] = 1
+    assert json.loads(out) == expected
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -314,3 +314,10 @@ def test_parameter_desc_validation():
         ParameterDesc(name="x", concept="not-an-iri")
     with pytest.raises(ValueError):
         ParameterDesc(name="x", concept="http://ex.org/has space")
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1f"],
+                         ids=["no-break-space", "em-space", "unit-separator"])
+def test_concept_iri_with_unicode_whitespace_is_rejected(space):
+    with pytest.raises(ValueError, match="absolute IRI"):
+        ParameterDesc(name="x", concept=f"http://ex.org/onto#a{space}b")

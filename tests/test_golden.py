@@ -1,10 +1,11 @@
-"""Golden digests of the default corpus's reports.
+"""Golden digests of the default corpus's reports and exports.
 
-The digests were recorded before the metric modules moved onto the shared
-integer view of a network and must not drift: a refactor of the graph code
-keeps every report byte-identical and every Walktrap merge sequence and
-height bit-identical.  A deliberate change to a report (a new field, a
-version bump) updates them here.
+The report and dendrogram digests were recorded before the metric modules
+moved onto the shared integer view of a network, the export digests before
+networks stopped keeping their links as string pairs.  They must not drift:
+a refactor of the graph code keeps every report and export byte-identical
+and every Walktrap merge sequence and height bit-identical.  A deliberate
+change to a report (a new field, a version bump) updates them here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from svcnet.community import dendrogram_to_json, walktrap
 from svcnet.corpus import load_collection
 from svcnet.matcher import ALL_KINDS
 from svcnet.metrics import giant_component
-from svcnet.netbuild import build_network, trim_isolates
+from svcnet.netbuild import build_network, export_network, trim_isolates
 from svcnet.ontology import load_ontology
 
 # svcnet compare CORPUS --ontology CORPUS/ontology.tsv --plfit-boot 0 --seed 0
@@ -30,6 +31,23 @@ DENDROGRAM_SHA256 = {
     "exact": "a27fc738c7a4169e4765cfbc7dc06fe05820b5b2e98a840f7ec0421e2c44eb9e",
     "plugin": "8578b82939a554854c01b67ed62821a5c840cb7c82e95a722a31c2abf6a91d4f",
     "subsume": "a13efb4d8106d37007a8fdcf50b0c6adf84c060a025e21c91e3f5a3840cb9c0b",
+}
+
+# export_network(build_network(...), format) per network of the same corpus;
+# the GraphML export carries the manifest's domain labels
+EXPORT_SHA256 = {
+    ("equal", "graphml"): "908b668eef6282e22ee78092de54ad8f049c597984739d00222074e25b757b19",
+    ("equal", "dot"): "f67b9262de1446efe527cdba01f57c87522aae11f2ae2d713a83d4c36b80670b",
+    ("equal", "edgelist"): "490217b9a27124a75a2f35f5d8e1eaf289f6c71c09bbd2aff2b4c994e8bd3f42",
+    ("exact", "graphml"): "483da8a2c3dc165ac1ab19f800a6acdd6d669f2e7938208db82c6867a5fc6764",
+    ("exact", "dot"): "1dba244846e935fa4733608ec367f47bbd393cb63bff236380bed7c49aaf6e15",
+    ("exact", "edgelist"): "490217b9a27124a75a2f35f5d8e1eaf289f6c71c09bbd2aff2b4c994e8bd3f42",
+    ("plugin", "graphml"): "198a42f8c5eb71d8e4b322452d991cdc1c5ce0bdc639bca7530c7ec6095c64db",
+    ("plugin", "dot"): "48ea46208aa492b60e951d40c909a74dea834ad42d82e3a6fb91ee4782e02308",
+    ("plugin", "edgelist"): "0f71cb1fef058f1bc18d3be21fd0debbea3356448c6284edf075ff4853ee1f60",
+    ("subsume", "graphml"): "bfda20a8f610b331d26d12a06ffdd579285cbb8cbce7082a1b304fea8212228e",
+    ("subsume", "dot"): "3c4b6cab0b73dbd81d00f24b6c90c0bee47322562b87c711f8b1b7317ead1ee3",
+    ("subsume", "edgelist"): "811a8cf6fd5c7270a6c86243e2f847ebc681c3edc1d054b713cc23fb82c48ebc",
 }
 
 
@@ -61,3 +79,16 @@ def test_giant_dendrogram_digests(corpus):
         giant = giant_component(trim_isolates(build_network(coll, kind, onto))[0])
         digests[kind.value] = sha256(dendrogram_to_json(walktrap(giant)))
     assert digests == DENDROGRAM_SHA256
+
+
+def test_export_digests(corpus):
+    coll = load_collection(corpus)
+    onto = load_ontology(corpus / "ontology.tsv")
+    domains = coll.domain_of_operation()
+    digests = {}
+    for kind in ALL_KINDS:
+        net = build_network(coll, kind, onto)
+        for fmt in ("graphml", "dot", "edgelist"):
+            text = export_network(net, fmt, domains=domains if fmt == "graphml" else None)
+            digests[kind.value, fmt] = sha256(text)
+    assert digests == EXPORT_SHA256

@@ -252,6 +252,31 @@ def test_network_rejects_dangling_edges():
         InteractionNetwork(nodes=("a",), edges=frozenset({("a", "b")}))
 
 
+def test_network_rejects_duplicate_node_ids():
+    with pytest.raises(ValueError, match="duplicate node id 'a'"):
+        InteractionNetwork(nodes=("a", "a", "b"), edges={("a", "b")})
+
+
+def test_network_is_its_sorted_integer_links():
+    net = InteractionNetwork(nodes=["c", "b", "a"],
+                             edges=[("c", "a"), ("a", "c"), ("a", "b"), ("a", "b")])
+    assert net.nodes == net.ids == ("a", "b", "c")
+    assert net.src.tolist() == [0, 0, 2] and net.dst.tolist() == [1, 2, 0]
+    assert net.n_edges == 3 and net.edges == {("a", "b"), ("a", "c"), ("c", "a")}
+    assert not net.src.flags.writeable and not net.dst.flags.writeable
+    assert net == InteractionNetwork(nodes=("a", "b", "c"), edges=net.edges)
+    assert net != InteractionNetwork(nodes=("a", "b", "c"), edges={("a", "b")})
+    assert net != InteractionNetwork(nodes=("a", "b", "c"), edges=net.edges,
+                                     kind=MatcherKind.EQUAL)
+
+
+def test_extract_path_leaves_derived_arrays_unbuilt(fig1_collection):
+    net = build_network(fig1_collection, MatcherKind.EQUAL)
+    for fmt in ("graphml", "dot", "edgelist"):
+        export_network(net, fmt)
+    assert "view" not in vars(net)  # where functools.cached_property keeps it
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_generated_networks_respect_invariants(seed):
