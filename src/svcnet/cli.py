@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -614,22 +615,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a Python warning as one ``warning:`` line, like the CLI's own."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SvcnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        # Input files report their own read errors where they are opened, so
-        # what reaches here is an output that could not be written.
-        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except SvcnetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            # Input files report their own read errors where they are opened, so
+            # what reaches here is an output that could not be written.
+            print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ concept IRI.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import xml.etree.ElementTree as ET
@@ -34,6 +35,9 @@ class CorpusError(SvcnetError):
     """Unrecoverable problem with a description document."""
 
 
+# Concept IRIs repeat across a collection, and each is checked when it is
+# read and again when its parameter is built.
+@functools.lru_cache(maxsize=4096)
 def _is_absolute_iri(text: str) -> bool:
     if text.split() != [text]:  # whitespace anywhere, or empty
         return False

@@ -13,6 +13,23 @@ each replicate redraws the tail from the fitted model and the body uniformly
 from the empirical values below the cutoff, refits, and the p-value is the
 fraction of replicate KS distances at least as large as the observed one.
 A p-value below 0.1 is reported as rejecting the power law.
+
+The bootstrap works in batches.  One CDF table serves every replicate of a
+``gof_pvalue`` call, each replicate is still drawn from its own
+``SeedSequence([seed, r])`` stream, and a chunk of replicates is refit at
+once: one golden-section search over every candidate cutoff of the chunk,
+and one flat Hurwitz-zeta evaluation for all of its KS distances.
+``fit_power_law`` is the batch of one.
+
+Batching keeps every bit of fitting one sample at a time, including the
+order in which each zeta series of 100 terms is summed.  numpy sums the
+terms of a single element pairwise but those of many elements term by
+term, and the two sums differ in the last bits.  Bootstrap KS distances
+do tie the observed one, so one flipped bit can change a p-value.  A series
+is therefore summed pairwise exactly when its element would be the only
+one below the series cutoff in its zeta call if its sample were fit alone:
+the only candidate cutoff below 100 of its sample, or the only tail value
+below 100 of its candidate.
 """
 
 from __future__ import annotations
@@ -36,6 +53,9 @@ _GOLDEN_ITER = 64
 # that the Bernoulli correction is past 1e-12 relative error for s <= 50.
 _SERIES_CUTOFF = 100.0
 _SERIES_TERMS = 100
+_TERMS = np.arange(_SERIES_TERMS, dtype=np.float64)
+# Series summed per block of elements: a block's terms are 100 x 4096 floats.
+_SERIES_BLOCK = 4096
 
 
 def hurwitz_zeta(s, a):
@@ -47,24 +67,39 @@ def hurwitz_zeta(s, a):
     if np.any(a_arr < 1.0):
         raise ValueError("hurwitz_zeta requires a >= 1")
     s_b, a_b = np.broadcast_arrays(s_arr, a_arr)
-    out = np.empty(s_b.shape, dtype=np.float64)
-
-    flat_s = s_b.reshape(-1)
     flat_a = a_b.reshape(-1)
-    flat_out = out.reshape(-1)
-
-    small = flat_a < _SERIES_CUTOFF
-    if small.any():
-        ss = flat_s[small]
-        aa = flat_a[small]
-        k = np.arange(_SERIES_TERMS, dtype=np.float64)[:, None]
-        series = ((aa[None, :] + k) ** (-ss[None, :])).sum(axis=0)
-        flat_out[small] = series + _zeta_tail(ss, aa + _SERIES_TERMS)
-    if (~small).any():
-        flat_out[~small] = _zeta_tail(flat_s[~small], flat_a[~small])
-
+    lone = np.count_nonzero(flat_a < _SERIES_CUTOFF) == 1
+    out = _zeta(s_b.reshape(-1), flat_a, np.full(flat_a.shape, lone)).reshape(s_b.shape)
     if out.shape == ():
         return float(out)
+    return out
+
+
+def _zeta(s: np.ndarray, a: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta of flat arrays; ``pairwise`` marks series summed pairwise.
+
+    An element below the series cutoff has its 100 terms summed pairwise
+    where ``pairwise`` is set and term by term elsewhere (see the module
+    docstring); elements at or past the cutoff need no series.
+    """
+    out = np.empty(a.shape)
+    small = a < _SERIES_CUTOFF
+    if not small.all():
+        out[~small] = _zeta_tail(s[~small], a[~small])
+    series_at = np.flatnonzero(small)
+    for start in range(0, series_at.size, _SERIES_BLOCK):
+        idx = series_at[start:start + _SERIES_BLOCK]
+        ss, aa = s[idx], a[idx]
+        # numpy sums the columns of a 2-D array term by term, so the block
+        # gets a spare column of ones: on its own, one column is summed pairwise.
+        terms = np.ones((_SERIES_TERMS, idx.size + 1))
+        np.add(aa, _TERMS[:, None], out=terms[:, :-1])
+        np.power(terms[:, :-1], -ss, out=terms[:, :-1])
+        series = terms.sum(axis=0)[:-1]
+        lone = np.flatnonzero(pairwise[idx])
+        if lone.size:
+            series[lone] = np.ascontiguousarray(terms[:, lone].T).sum(axis=1)
+        out[idx] = series + _zeta_tail(ss, aa + _SERIES_TERMS)
     return out
 
 
@@ -125,38 +160,82 @@ def fit_power_law(samples: Iterable[int]) -> PowerLawFit:
         raise DegenerateInputError(
             "need at least 2 distinct positive values to fit a power law"
         )
-
-    # Per candidate xmin = values[k]: tail size and sum of log(x) over the tail.
-    tail_n = counts[::-1].cumsum()[::-1].astype(np.float64)
-    log_sum = (counts * np.log(values))[::-1].cumsum()[::-1]
-
-    # A candidate needs >= 2 distinct tail values for a finite MLE.
-    n_candidates = values.size - 1
-    vs = values[:n_candidates].astype(np.float64)
-    ns = tail_n[:n_candidates]
-    ls = log_sum[:n_candidates]
-
-    alphas = _mle_alphas(vs, ns, ls)
-
-    best_k = -1
-    best_ks = np.inf
-    ks_values = np.empty(n_candidates)
-    for k in range(n_candidates):
-        ks_values[k] = _ks_distance(values[k:], counts[k:], alphas[k], float(values[k]))
-        if ks_values[k] < best_ks:
-            best_ks = ks_values[k]
-            best_k = k
-
+    alpha, xmin, ks, n_tail = _fit_many([values], [counts])
     return PowerLawFit(
-        alpha=float(alphas[best_k]),
-        xmin=int(values[best_k]),
-        ks=float(best_ks),
-        n_tail=int(tail_n[best_k]),
+        alpha=float(alpha[0]),
+        xmin=int(xmin[0]),
+        ks=float(ks[0]),
+        n_tail=int(n_tail[0]),
         zeros_removed=zeros,
     )
 
 
-def _mle_alphas(xmins: np.ndarray, n_tails: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
+def _fit_many(
+    values: list[np.ndarray], counts: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit every sample at once; returns per sample (alpha, xmin, ks, n_tail).
+
+    A sample is given by its sorted distinct values (at least two) and their
+    counts.  Every value but a sample's largest is a candidate xmin: its
+    exponent is the tail MLE and its KS distance compares the empirical and
+    fitted CDFs over its tail values.  A sample's fit is its first candidate
+    of least KS distance.
+    """
+    sizes = np.array([v.size for v in values])
+    ends = np.cumsum(sizes)
+    values = np.concatenate(values)
+    counts = np.concatenate(counts)
+    sample = np.repeat(np.arange(sizes.size), sizes)
+    rank = np.arange(values.size) - (ends - sizes)[sample]
+
+    # Per value: tail size and sum of log(x) over the tail, each accumulated
+    # from the sample's largest value down, one sample per row.
+    cum = np.cumsum(counts)
+    tail_n = cum[ends - 1][sample] - cum + counts
+    from_top = sizes[sample] - 1 - rank
+    log_sum = np.zeros((sizes.size, sizes.max()))
+    log_sum[sample, from_top] = counts * np.log(values)
+    np.cumsum(log_sum, axis=1, out=log_sum)
+    log_sum = log_sum[sample, from_top]
+
+    # A candidate needs >= 2 distinct tail values for a finite MLE.  A
+    # sample's only candidate below the series cutoff is summed pairwise.
+    cand = np.flatnonzero(from_top > 0)
+    xmins = values[cand].astype(np.float64)
+    n_series = np.bincount(sample[cand], weights=xmins < _SERIES_CUTOFF)
+    alphas = _mle_alphas(
+        xmins, tail_n[cand].astype(np.float64), log_sum[cand], (n_series == 1)[sample[cand]]
+    )
+
+    # KS distance per candidate over one flat group of its tail values; a
+    # group's only value below the series cutoff is summed pairwise.
+    lengths = ends[sample[cand]] - cand
+    first = np.cumsum(lengths) - lengths
+    at = np.arange(lengths.sum()) + np.repeat(cand - first, lengths)
+    v = values[at].astype(np.float64)
+    s = np.repeat(alphas, lengths)
+    n_series = np.add.reduceat(v < _SERIES_CUTOFF, first, dtype=np.intp)
+    z = _zeta(s, v, np.repeat(n_series == 1, lengths))
+    # zeta(alpha, v+1) = zeta(alpha, v) - v^-alpha, so the fitted CDF at v is:
+    fitted = 1.0 - (z - v ** (-s)) / np.repeat(z[first], lengths)
+    below = np.repeat(cum[cand] - counts[cand], lengths)
+    empirical = (cum[at] - below) / np.repeat(tail_n[cand], lengths)
+    ks = np.maximum.reduceat(np.abs(empirical - fitted), first)
+
+    # First strict minimum per sample; a NaN distance never wins, and a
+    # sample without a finite one keeps its last candidate.
+    grid = np.full((sizes.size, sizes.max() - 1), np.inf)
+    grid[sample[cand], rank[cand]] = np.where(np.isnan(ks), np.inf, ks)
+    best = grid.argmin(axis=1)
+    best_ks = grid[np.arange(sizes.size), best]
+    best = np.where(best_ks < np.inf, best, sizes - 2)
+    at_best = ends - sizes + best
+    return alphas[at_best - np.arange(sizes.size)], values[at_best], best_ks, tail_n[at_best]
+
+
+def _mle_alphas(
+    xmins: np.ndarray, n_tails: np.ndarray, log_sums: np.ndarray, pairwise: np.ndarray
+) -> np.ndarray:
     """Vector golden-section maximization of the tail log-likelihood.
 
     L(alpha) = -n ln zeta(alpha, xmin) - alpha * sum(ln x) is concave in
@@ -164,7 +243,7 @@ def _mle_alphas(xmins: np.ndarray, n_tails: np.ndarray, log_sums: np.ndarray) ->
     """
 
     def neg_ll(alpha: np.ndarray) -> np.ndarray:
-        return n_tails * np.log(hurwitz_zeta(alpha, xmins)) + alpha * log_sums
+        return n_tails * np.log(_zeta(alpha, xmins, pairwise)) + alpha * log_sums
 
     lo = np.full(xmins.shape, _ALPHA_LO)
     hi = np.full(xmins.shape, _ALPHA_HI)
@@ -176,17 +255,6 @@ def _mle_alphas(xmins: np.ndarray, n_tails: np.ndarray, log_sums: np.ndarray) ->
         hi = np.where(keep_low, x2, hi)
         lo = np.where(keep_low, lo, x1)
     return (lo + hi) / 2.0
-
-
-def _ks_distance(values: np.ndarray, counts: np.ndarray, alpha: float, xmin: float) -> float:
-    """Max |empirical - fitted| CDF over the distinct tail values."""
-    v = values.astype(np.float64)
-    z = hurwitz_zeta(alpha, v)
-    z_xmin = z[0]
-    # zeta(alpha, v+1) = zeta(alpha, v) - v^-alpha, so the fitted CDF at v is:
-    fitted = 1.0 - (z - v ** (-alpha)) / z_xmin
-    empirical = counts.cumsum() / counts.sum()
-    return float(np.abs(empirical - fitted).max())
 
 
 def log_likelihood(samples: Iterable[int], alpha: float, xmin: int) -> float:
@@ -216,6 +284,11 @@ def sample_power_law(
     rare draws beyond it fall back to an exact doubling-plus-bisection search
     on the survival function.
     """
+    return _draw(*_power_law_table(alpha, xmin), alpha, xmin, size, rng)
+
+
+def _power_law_table(alpha: float, xmin: int) -> tuple[np.ndarray, float]:
+    """CDF table from xmin up to a 1e-9 survival (at most 2^21 entries), and zeta(alpha, xmin)."""
     if alpha <= 1.0:
         raise UsageError("alpha must exceed 1")
     if xmin < 1:
@@ -227,14 +300,21 @@ def sample_power_law(
         and length < _TABLE_MAX
     ):
         length *= 2
-    support = np.arange(xmin, xmin + length, dtype=np.float64)
-    cdf = np.cumsum(support ** (-alpha)) / z_xmin
+    cdf = np.arange(xmin, xmin + length, dtype=np.float64)
+    np.power(cdf, -alpha, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= z_xmin
+    return cdf, z_xmin
 
+
+def _draw(
+    cdf: np.ndarray, z_xmin: float, alpha: float, xmin: int, size: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
     u = rng.random(size)
     idx = np.searchsorted(cdf, u, side="left")
     out = xmin + idx
-    overflow = idx >= length
-    for pos in np.flatnonzero(overflow):
+    for pos in np.flatnonzero(idx >= cdf.size):
         out[pos] = _tail_quantile(alpha, xmin, float(u[pos]), z_xmin)
     return out.astype(np.int64)
 
@@ -258,6 +338,10 @@ def _tail_quantile(alpha: float, xmin: int, u: float, z_xmin: float) -> int:
 # ---------------------------------------------------------------------------
 # Goodness of fit
 # ---------------------------------------------------------------------------
+
+# Replicates are refit in chunks of about this many (candidate, tail value)
+# pairs, which bounds each flat KS array of a chunk at a few MB.
+_CHUNK_PAIRS = 1 << 16
 
 
 def gof_pvalue(
@@ -286,31 +370,41 @@ def gof_pvalue(
     n = data.size
     body = data[data < fit.xmin]
     p_tail = fit.n_tail / n
+    table = _power_law_table(fit.alpha, fit.xmin)
 
     exceed = 0
+    values: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    pairs = 0
     for r in range(n_boot):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
-        ks = _bootstrap_ks(fit, body, n, p_tail, rng)
-        if ks >= fit.ks:
-            exceed += 1
+        v, c = _replicate(fit, body, n, p_tail, table, rng)
+        values.append(v)
+        counts.append(c)
+        pairs += v.size * (v.size + 1) // 2
+        if pairs >= _CHUNK_PAIRS or r == n_boot - 1:
+            exceed += int(np.count_nonzero(_fit_many(values, counts)[2] >= fit.ks))
+            values, counts, pairs = [], [], 0
     return exceed / n_boot
 
 
-def _bootstrap_ks(
-    fit: PowerLawFit, body: np.ndarray, n: int, p_tail: float, rng: np.random.Generator
-) -> float:
+def _replicate(
+    fit: PowerLawFit, body: np.ndarray, n: int, p_tail: float,
+    table: tuple[np.ndarray, float], rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values and counts of one replicate drawn from ``rng``."""
     for _ in range(100):
         from_tail = rng.random(n) < p_tail
         k = int(from_tail.sum())
         draws = np.empty(n, dtype=np.int64)
         if k:
-            draws[:k] = sample_power_law(fit.alpha, fit.xmin, k, rng)
+            draws[:k] = _draw(*table, fit.alpha, fit.xmin, k, rng)
         if n - k:
             draws[k:] = body[rng.integers(0, body.size, n - k)]
-        try:
-            return fit_power_law(draws).ks
-        except DegenerateInputError:
-            continue  # all-equal replicate; redraw from the same stream
+        values, counts = np.unique(draws, return_counts=True)
+        if values.size >= 2:
+            return values, counts
+        # all-equal replicate; redraw from the same stream
     raise DegenerateInputError("bootstrap replicates are persistently degenerate")
 
 

@@ -1,11 +1,13 @@
 """Shared fixtures: analytic graphs, the worked three-operation example, and
 independent oracles (Floyd-Warshall distances, naive pairwise network build,
-brute-force triangle and modularity counters)."""
+brute-force triangle and modularity counters, a power-law sampler on scipy's
+Hurwitz zeta)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import zeta as scipy_zeta
 
 from svcnet.corpus import (
     OperationDesc,
@@ -149,3 +151,27 @@ def modularity_by_counting(net: InteractionNetwork, groups: list[set[str]]) -> f
         ends = sum(1 for a, b in edges for x in (a, b) if x in group)
         q += internal / m - (ends / (2 * m)) ** 2
     return q
+
+
+def oracle_power_law_sample(alpha: float, xmin: int, size: int, seed: int) -> np.ndarray:
+    """Inverse-CDF sampler on scipy's Hurwitz zeta (independent of svcnet).
+
+    Finds the smallest integer x with CDF(x) >= u by vectorized doubling plus
+    bisection on the survival function.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.random(size)
+    target = (1.0 - u) * scipy_zeta(alpha, xmin)  # smallest x with zeta(alpha, x+1) <= target
+    hi = np.full(size, 2 * xmin, dtype=np.int64)
+    while True:
+        bad = scipy_zeta(alpha, hi + 1) > target
+        if not bad.any():
+            break
+        hi[bad] *= 2
+    lo = np.full(size, xmin, dtype=np.int64)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        ok = scipy_zeta(alpha, mid + 1) <= target
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    return lo

@@ -17,9 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import zeta as scipy_zeta
 
-from conftest import floyd_warshall, make_net, modularity_by_counting, undirected
+from conftest import (
+    floyd_warshall,
+    make_net,
+    modularity_by_counting,
+    oracle_power_law_sample,
+    undirected,
+)
 from svcnet.cli import main
 from svcnet.community import Partition, best_partition, modularity, walktrap
 from svcnet.corpus import ParameterDesc, load_collection
@@ -167,26 +172,6 @@ def test_criterion_05_community_recovery():
 # ---------------------------------------------------------------------------
 # Criterion 6: power-law recovery and goodness of fit, < 5 min total
 # ---------------------------------------------------------------------------
-
-
-def oracle_power_law_sample(alpha: float, xmin: int, size: int, seed: int) -> np.ndarray:
-    """Inverse-CDF sampler on scipy's Hurwitz zeta (independent of svcnet)."""
-    rng = np.random.default_rng(seed)
-    u = rng.random(size)
-    target = (1.0 - u) * scipy_zeta(alpha, xmin)
-    hi = np.full(size, 2 * xmin, dtype=np.int64)
-    while True:
-        bad = scipy_zeta(alpha, hi + 1) > target
-        if not bad.any():
-            break
-        hi[bad] *= 2
-    lo = np.full(size, xmin, dtype=np.int64)
-    while (lo < hi).any():
-        mid = (lo + hi) // 2
-        ok = scipy_zeta(alpha, mid + 1) <= target
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid + 1)
-    return lo
 
 
 def test_criterion_06_power_law_recovery_and_gof():

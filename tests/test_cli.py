@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import svcnet
 from svcnet.cli import main, report_to_csv
 from svcnet.gen import GenSpec, generate, write_collection_tree
 
@@ -306,6 +311,26 @@ def test_compare_without_ontology_warns(capsys, gen_dir):
     # annotated collection without a hierarchy: identity matching still works
     assert report["networks"]["exact"]["giant"]["nodes"] > 0
     assert "plugin" in report["comparison"]["empty_networks"]
+
+
+def test_library_warnings_print_as_warning_lines(gen_dir):
+    # Run as a process so stderr is what a user sees, not pytest's capture.
+    env = dict(os.environ)
+    src = str(Path(svcnet.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from svcnet.cli import main; sys.exit(main())",
+         "compare", str(gen_dir), "--ontology", str(gen_dir / "ontology.tsv"),
+         "--plfit-boot", "20"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines.count(
+        "warning: n_boot=20 gives a coarse p-value resolution (>= 100 recommended)"
+    ) == 1
+    assert all(line.startswith("warning: ") for line in lines)
+    assert "UserWarning" not in proc.stderr and "plfit.py" not in proc.stderr
 
 
 def test_report_floats_carry_six_significant_digits(capsys, tmp_path):

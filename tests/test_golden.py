@@ -2,18 +2,22 @@
 
 The report and dendrogram digests were recorded before the metric modules
 moved onto the shared integer view of a network, the export digests before
-networks stopped keeping their links as string pairs.  They must not drift:
-a refactor of the graph code keeps every report and export byte-identical
-and every Walktrap merge sequence and height bit-identical.  A deliberate
-change to a report (a new field, a version bump) updates them here.
+networks stopped keeping their links as string pairs, and the bootstrap
+report digest and p-values before the power-law bootstrap was batched.
+They must not drift: a refactor keeps every report and export
+byte-identical, every Walktrap merge sequence and height and every
+bootstrap p-value bit-identical.  A deliberate change to a report (a new
+field, a version bump) updates them here.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from conftest import oracle_power_law_sample
 from svcnet.cli import main
 from svcnet.community import dendrogram_to_json, walktrap
 from svcnet.corpus import load_collection
@@ -21,9 +25,14 @@ from svcnet.matcher import ALL_KINDS
 from svcnet.metrics import giant_component
 from svcnet.netbuild import build_network, export_network, trim_isolates
 from svcnet.ontology import load_ontology
+from svcnet.plfit import fit_power_law, gof_pvalue
 
 # svcnet compare CORPUS --ontology CORPUS/ontology.tsv --plfit-boot 0 --seed 0
 COMPARE_SHA256 = "9f97c51b71b11f103e019c16432157e0f07b66837537ff564ea75e8daa9ed219"
+
+# the same with --plfit-boot 100; replicates of the equal and exact networks
+# tie the observed KS distance, so one flipped bit in a refit changes a p-value
+COMPARE_BOOT_SHA256 = "39ef873ac4ff4790481a052a1c4d7950fe1c3b48a13effb4d57125f99afcba92"
 
 # dendrogram_to_json(walktrap(giant)) per network of the same corpus
 DENDROGRAM_SHA256 = {
@@ -50,6 +59,31 @@ EXPORT_SHA256 = {
     ("subsume", "edgelist"): "811a8cf6fd5c7270a6c86243e2f847ebc681c3edc1d054b713cc23fb82c48ebc",
 }
 
+# fit_power_law(samples) as (alpha.hex(), ks.hex()), then gof_pvalue(fit,
+# samples, n_boot, seed), per sample
+GOF_CASES = {
+    # the rejected geometric sample of tests/test_plfit.py
+    "geometric": (lambda: np.random.default_rng(6).geometric(0.5, size=5000), 200, 0,
+                  "0x1.17d452653fa26p+2", "0x1.5ff8a36bb06c0p-5", 0.0),
+    "power-law": (lambda: oracle_power_law_sample(2.5, 1, 3000, seed=21), 200, 0,
+                  "0x1.3d1bc633c8ea4p+1", "0x1.3094c6796bd80p-8", 0.555),
+    "power-law-800": (lambda: oracle_power_law_sample(2.5, 1, 800, seed=4), 120, 9,
+                      "0x1.356c6dbac42fap+1", "0x1.3072aa5725180p-7", 0.5583333333333333),
+    # values past the zeta series cutoff of 100
+    "hubs": (lambda: [1] * 40 + [2] * 15 + [3] * 8 + [5, 7, 9, 12, 40, 130, 260], 200, 4,
+             "0x1.f965cb2a82780p+0", "0x1.48b3bca7a4080p-4", 0.015),
+    # the fit's cutoff 99 is its tail's only value below the series cutoff
+    "lone-tail-value": (lambda: np.concatenate([np.random.default_rng(5).integers(1, 4, 60),
+                                                oracle_power_law_sample(3.0, 99, 80, seed=5)]),
+                        100, 6, "0x1.6cbbf2d257aa6p+1", "0x1.50fe4472eacd0p-5", 0.9),
+    # two distinct values: the fit and most replicates have a single candidate
+    "two-values": (lambda: [1] * 7 + [2] * 3, 200, 3,
+                   "0x1.64517f154a3f2p+1", "0x1.966908505bbd8p-4", 0.13),
+    # most replicates are all-equal at first and are redrawn from their stream
+    "tiny": (lambda: [1, 1, 1, 1, 2], 200, 1,
+             "0x1.959bb1fa7d076p+1", "0x1.b5a6d59973810p-5", 0.855),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -69,6 +103,23 @@ def test_compare_report_digest(corpus, tmp_path):
                  "--plfit-boot", "0", "--seed", "0", "-o", str(report)])
     assert code == 0
     assert sha256(report.read_text(encoding="utf-8")) == COMPARE_SHA256
+
+
+def test_compare_bootstrap_report_digest(corpus, tmp_path):
+    report = tmp_path / "report.json"
+    code = main(["compare", str(corpus), "--ontology", str(corpus / "ontology.tsv"),
+                 "--plfit-boot", "100", "--seed", "0", "-o", str(report)])
+    assert code == 0
+    assert sha256(report.read_text(encoding="utf-8")) == COMPARE_BOOT_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(GOF_CASES))
+def test_fits_and_gof_pvalues(name):
+    make, n_boot, seed, alpha, ks, p_value = GOF_CASES[name]
+    samples = make()
+    fit = fit_power_law(samples)
+    assert (fit.alpha.hex(), fit.ks.hex()) == (alpha, ks)
+    assert gof_pvalue(fit, samples, n_boot=n_boot, seed=seed) == p_value
 
 
 def test_giant_dendrogram_digests(corpus):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
+from conftest import oracle_power_law_sample
+from svcnet import plfit
 from svcnet.errors import DegenerateInputError, UsageError
 from svcnet.plfit import (
     fit_power_law,
@@ -14,32 +16,6 @@ from svcnet.plfit import (
     log_likelihood,
     sample_power_law,
 )
-
-
-def oracle_sample(alpha: float, xmin: int, size: int, seed: int) -> np.ndarray:
-    """Independent inverse-CDF sampler built on scipy's Hurwitz zeta.
-
-    Finds the smallest integer x with CDF(x) >= u by vectorized doubling plus
-    bisection on the survival function.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.random(size)
-    z0 = scipy_zeta(alpha, xmin)
-    target = (1.0 - u) * z0  # want smallest x with zeta(alpha, x+1) <= target
-
-    hi = np.full(size, 2 * xmin, dtype=np.int64)
-    while True:
-        bad = scipy_zeta(alpha, hi + 1) > target
-        if not bad.any():
-            break
-        hi[bad] *= 2
-    lo = np.full(size, xmin, dtype=np.int64)
-    while (lo < hi).any():
-        mid = (lo + hi) // 2
-        ok = scipy_zeta(alpha, mid + 1) <= target
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid + 1)
-    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +44,25 @@ def test_zeta_frozen_constants():
     assert hurwitz_zeta(4.0, 1.0) == pytest.approx(math.pi**4 / 90, rel=1e-12)
 
 
+def test_zeta_sums_each_series_as_a_direct_evaluation_does():
+    # Reference: the 100 series terms of every element below the cutoff as
+    # one (100, M) array summed over axis 0.  numpy sums a lone column
+    # pairwise and many columns term by term; the last bits differ, and fits
+    # must not depend on which way a batch groups its elements.
+    rng = np.random.default_rng(3)
+    k = np.arange(100.0)[:, None]
+    for m in (1, 2, 3, 50):
+        s = rng.uniform(1.01, 40.0, m)
+        a = rng.integers(1, 100, m).astype(float) + rng.random(m)
+        expected = ((a[None, :] + k) ** (-s[None, :])).sum(axis=0)
+        expected += plfit._zeta_tail(s, a + 100.0)
+        hubs = np.full(4, 150.0)
+        got = hurwitz_zeta(np.concatenate([s, np.full(4, 2.5)]), np.concatenate([a, hubs]))
+        assert got[:m].tolist() == expected.tolist()
+        if m == 1:
+            assert hurwitz_zeta(s[0], a[0]) == expected[0]
+
+
 def test_zeta_rejects_bad_domain():
     with pytest.raises(ValueError):
         hurwitz_zeta(1.0, 2.0)
@@ -87,7 +82,7 @@ def test_zeta_broadcasts():
 
 
 def test_fit_recovers_planted_exponent():
-    samples = oracle_sample(2.5, 1, 10_000, seed=7)
+    samples = oracle_power_law_sample(2.5, 1, 10_000, seed=7)
     fit = fit_power_law(samples)
     assert abs(fit.alpha - 2.5) <= 0.1
     assert fit.xmin <= 3
@@ -97,7 +92,7 @@ def test_fit_recovers_planted_exponent():
 
 def test_fit_recovers_shifted_xmin():
     body = np.ones(2000, dtype=np.int64)  # mass below the cutoff
-    tail = oracle_sample(2.8, 5, 4000, seed=3)
+    tail = oracle_power_law_sample(2.8, 5, 4000, seed=3)
     fit = fit_power_law(np.concatenate([body, tail]))
     assert 4 <= fit.xmin <= 8
     assert abs(fit.alpha - 2.8) <= 0.25
@@ -128,7 +123,7 @@ def test_zeros_are_removed_and_counted():
 
 def test_fit_is_permutation_invariant():
     rng = np.random.default_rng(5)
-    samples = oracle_sample(2.2, 1, 3000, seed=5)
+    samples = oracle_power_law_sample(2.2, 1, 3000, seed=5)
     shuffled = samples.copy()
     rng.shuffle(shuffled)
     assert fit_power_law(samples) == fit_power_law(shuffled)
@@ -136,7 +131,7 @@ def test_fit_is_permutation_invariant():
 
 def test_local_max_of_log_likelihood():
     for seed in (1, 2, 3):
-        samples = oracle_sample(2.4, 1, 2000, seed=seed)
+        samples = oracle_power_law_sample(2.4, 1, 2000, seed=seed)
         fit = fit_power_law(samples)
         at = log_likelihood(samples, fit.alpha, fit.xmin)
         assert at >= log_likelihood(samples, fit.alpha + 0.01, fit.xmin)
@@ -184,7 +179,7 @@ def test_sampler_validates_parameters():
 
 
 def test_gof_accepts_true_power_law():
-    samples = oracle_sample(2.5, 1, 3000, seed=21)
+    samples = oracle_power_law_sample(2.5, 1, 3000, seed=21)
     fit = fit_power_law(samples)
     p = gof_pvalue(fit, samples, n_boot=200, seed=0)
     assert p is not None and p >= 0.1
@@ -203,22 +198,94 @@ def test_gof_rejects_geometric_samples():
 
 
 def test_gof_skipped_when_n_boot_zero():
-    samples = oracle_sample(2.5, 1, 500, seed=1)
+    samples = oracle_power_law_sample(2.5, 1, 500, seed=1)
     fit = fit_with_gof(samples, n_boot=0, seed=0)
     assert fit.p_value is None and fit.rejected is None
     assert fit.alpha > 1.0  # fit still reported
 
 
 def test_small_n_boot_warns():
-    samples = oracle_sample(2.5, 1, 500, seed=2)
+    samples = oracle_power_law_sample(2.5, 1, 500, seed=2)
     fit = fit_power_law(samples)
     with pytest.warns(UserWarning, match="resolution"):
         gof_pvalue(fit, samples, n_boot=20, seed=0)
 
 
 def test_gof_is_deterministic():
-    samples = oracle_sample(2.5, 1, 800, seed=4)
+    samples = oracle_power_law_sample(2.5, 1, 800, seed=4)
     fit = fit_power_law(samples)
     assert gof_pvalue(fit, samples, n_boot=120, seed=9) == gof_pvalue(
         fit, samples, n_boot=120, seed=9
     )
+
+
+def loop_fit(samples) -> tuple:
+    """Reference: the per-candidate fit on the public hurwitz_zeta, one
+    sample at a time, as (alpha, xmin, ks, n_tail)."""
+    values, counts = np.unique(np.asarray(samples), return_counts=True)
+    tail_n = counts[::-1].cumsum()[::-1].astype(np.float64)
+    log_sum = (counts * np.log(values))[::-1].cumsum()[::-1]
+    xmins = values[:-1].astype(np.float64)
+
+    def neg_ll(alpha):
+        return tail_n[:-1] * np.log(hurwitz_zeta(alpha, xmins)) + alpha * log_sum[:-1]
+
+    lo = np.full(xmins.shape, 1.0 + 1e-6)
+    hi = np.full(xmins.shape, 50.0)
+    for _ in range(64):
+        span = (hi - lo) * 0.6180339887498949
+        x1, x2 = hi - span, lo + span
+        keep_low = neg_ll(x1) < neg_ll(x2)
+        hi = np.where(keep_low, x2, hi)
+        lo = np.where(keep_low, lo, x1)
+    alphas = (lo + hi) / 2.0
+
+    best_ks, best = np.inf, -1
+    for k in range(xmins.size):
+        v = values[k:].astype(np.float64)
+        z = hurwitz_zeta(alphas[k], v)
+        fitted = 1.0 - (z - v ** (-alphas[k])) / z[0]
+        ks = np.abs(counts[k:].cumsum() / counts[k:].sum() - fitted).max()
+        if ks < best_ks:
+            best_ks, best = ks, k
+    return alphas[best], values[best], best_ks, tail_n[best]
+
+
+def test_batched_refits_equal_the_loop_fit():
+    # Replicate-like samples: two distinct values (one candidate), hubs at or
+    # past the zeta series cutoff of 100 (tail-only terms, and candidates with
+    # a single tail value below the cutoff), and plain power-law draws.
+    rng = np.random.default_rng(17)
+    samples = []
+    for i in range(60):
+        size = int(rng.integers(3, 60))
+        if i % 3 == 0:
+            low, high = sorted(rng.choice(np.arange(1, 160), size=2, replace=False))
+            sample = np.where(rng.random(size) < 0.7, low, high)
+            sample[:2] = low, high
+        elif i % 3 == 1:
+            sample = np.concatenate([oracle_power_law_sample(2.2, 1, size, seed=i),
+                                     rng.integers(95, 400, int(rng.integers(1, 5)))])
+        else:
+            sample = oracle_power_law_sample(float(rng.uniform(1.8, 3.5)), 1, size + 10, seed=i)
+        if np.unique(sample).size >= 2:
+            samples.append(sample)
+    tables = [np.unique(sample, return_counts=True) for sample in samples]
+    assert any(values.size == 2 for values, _ in tables)
+    assert any(values[-1] >= 100 for values, _ in tables)
+
+    batched = plfit._fit_many([v for v, _ in tables], [c for _, c in tables])
+    for i, sample in enumerate(samples):
+        expected = loop_fit(sample)
+        assert tuple(column[i] for column in batched) == expected
+        alone = fit_power_law(sample)
+        assert (alone.alpha, alone.xmin, alone.ks, alone.n_tail) == expected
+
+
+@pytest.mark.parametrize("chunk_pairs", [1, 40, 700])
+def test_chunk_boundaries_leave_the_pvalue_unchanged(monkeypatch, chunk_pairs):
+    samples = [1, 1, 1, 1, 2, 2, 3, 5, 9, 14, 40, 130]
+    fit = fit_power_law(samples)
+    whole = gof_pvalue(fit, samples, n_boot=150, seed=2)
+    monkeypatch.setattr(plfit, "_CHUNK_PAIRS", chunk_pairs)
+    assert gof_pvalue(fit, samples, n_boot=150, seed=2) == whole
