@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ServiceCollection
 from .errors import SvcnetError, UsageError
 from .netbuild import InteractionNetwork
 
@@ -295,19 +294,14 @@ class DomainOverlap:
     purity: float | None
 
 
-def domain_overlap(
-    partition: Partition, coll: ServiceCollection | dict[str, str | None]
-) -> DomainOverlap:
+def domain_overlap(partition: Partition, domains: dict[str, str | None]) -> DomainOverlap:
     """Contingency of communities against thematic domains, plus purity.
 
-    ``coll`` may be a collection or a precomputed ``op_id -> domain`` map.
-    Unlabeled operations count under the pseudo-domain ``(none)``; if nothing
-    is labeled the overlap is reported unavailable.
+    ``domains`` maps each ``op_id`` to its domain, as
+    :meth:`ServiceCollection.domain_of_operation` gives it.  Unlabeled
+    operations count under the pseudo-domain ``(none)``; if nothing is
+    labeled the overlap is reported unavailable.
     """
-    if isinstance(coll, ServiceCollection):
-        domains = coll.domain_of_operation()
-    else:
-        domains = coll
     labeled = {
         node: domains.get(node) for node in partition.assignment
     }

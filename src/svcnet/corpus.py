@@ -7,6 +7,10 @@ whose type is a complex wrapper, each top-level child element of the wrapper
 does.  There is no deeper schema recursion.  A ``sawsdl:modelReference`` on
 the element (or on the named type it references) populates the parameter's
 concept IRI.
+
+Each document is read by one expat pass, which yields both the element tree
+and the namespace prefixes that QName attribute values such as
+``element="tns:Req"`` refer to.
 """
 
 from __future__ import annotations
@@ -161,13 +165,6 @@ class _TypeDecl:
     children: list[_ChildDecl]
 
 
-@dataclass
-class _Part:
-    name: str
-    element_raw: str | None
-    type_raw: str | None
-
-
 @dataclass(frozen=True)
 class ParsedDescription:
     """One parsed document: its services and any non-fatal warnings."""
@@ -183,16 +180,26 @@ def parse_description(data: bytes, source: str = "<document>") -> ParsedDescript
     flattened into parameter sets.  Malformed XML raises :class:`CorpusError`
     with the parser's location; structural oddities become warnings.
     """
+    # The tree drops the prefixes that QName attribute values use, so the
+    # same pass collects them; a prefix bound twice keeps its first binding.
+    # An unknown or multi-byte encoding named in the XML declaration raises
+    # LookupError or ValueError rather than ParseError.
+    nsmap: dict[str, str] = {}
+    events = ET.iterparse(io.BytesIO(data), events=("start-ns",))
     try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
+        for _, (prefix, uri) in events:
+            nsmap.setdefault(prefix, uri)
+    except (ET.ParseError, LookupError, ValueError) as exc:
         raise CorpusError(f"{source}: malformed XML: {exc}") from exc
+    return _describe(events.root, nsmap, source)
 
+
+def _describe(root: ET.Element, nsmap: dict[str, str], source: str) -> ParsedDescription:
+    """The services of one parsed document; ``nsmap`` maps its prefixes to URIs."""
     if root.tag != f"{{{WSDL_NS}}}definitions":
         raise CorpusError(f"{source}: not a WSDL 1.1 document (root {root.tag})")
 
     warnings: list[str] = []
-    nsmap = _collect_prefixes(data)
     doc = _DocumentIndex(root, nsmap, source, warnings)
 
     service_name = doc.service_name()
@@ -227,13 +234,6 @@ def parse_description(data: bytes, source: str = "<document>") -> ParsedDescript
     return ParsedDescription(services=(svc,), warnings=tuple(warnings))
 
 
-def _collect_prefixes(data: bytes) -> dict[str, str]:
-    nsmap: dict[str, str] = {}
-    for _, (prefix, uri) in ET.iterparse(io.BytesIO(data), events=("start-ns",)):
-        nsmap.setdefault(prefix, uri)
-    return nsmap
-
-
 def _model_reference(el: ET.Element, source: str, warnings: list[str]) -> str | None:
     raw = el.get(f"{{{SAWSDL_NS}}}modelReference")
     if raw is None:
@@ -266,7 +266,7 @@ class _DocumentIndex:
         self.elements_by_name: dict[str, _ElementDecl] = {}
         self.types: dict[tuple[str, str], _TypeDecl] = {}
         self.types_by_name: dict[str, _TypeDecl] = {}
-        self.messages: dict[str, list[_Part]] = {}
+        self.messages: dict[str, list[ET.Element]] = {}  # name -> its <part>s
         self._scan_schemas()
         self._scan_messages()
 
@@ -340,15 +340,7 @@ class _DocumentIndex:
             name = msg.get("name")
             if not name:
                 continue
-            parts = [
-                _Part(
-                    name=part.get("name", ""),
-                    element_raw=part.get("element"),
-                    type_raw=part.get("type"),
-                )
-                for part in msg.findall(f"{{{WSDL_NS}}}part")
-            ]
-            self.messages.setdefault(name, parts)
+            self.messages.setdefault(name, msg.findall(f"{{{WSDL_NS}}}part"))
 
     # -- lookups -----------------------------------------------------------
 
@@ -390,9 +382,22 @@ class _DocumentIndex:
             return self.types[(ns, local)]
         return self.types_by_name.get(local)
 
-    def _concept_for_type(self, raw: str | None) -> str | None:
-        decl = self._find_type(raw)
-        return decl.concept if decl else None
+    def _param(self, name: str, type_raw: str | None, concept: str | None) -> ParameterDesc:
+        """A leaf parameter; without a concept of its own it takes its named type's."""
+        if concept is None:
+            decl = self._find_type(type_raw)
+            concept = decl.concept if decl else None
+        return ParameterDesc(name=name, xsd_type=type_raw, concept=concept)
+
+    def _unresolved(self, what: str, raw: str) -> list[ParameterDesc]:
+        """A reference to no declared element: a bare parameter named by its local part."""
+        _, local = self._split_qname(raw)
+        if not local:
+            raise CorpusError(f"{self.source}: {what} {raw!r} has no local name")
+        self.warnings.append(
+            f"{self.source}: {what} {raw!r}; parameter kept without type or concept"
+        )
+        return [ParameterDesc(name=local)]
 
     # -- flattening --------------------------------------------------------
 
@@ -413,26 +418,22 @@ class _DocumentIndex:
             params.extend(self._part_params(part, op_name))
         return _dedupe_params(params)
 
-    def _part_params(self, part: _Part, op_name: str) -> list[ParameterDesc]:
-        if part.element_raw:
-            decl = self._find_element(part.element_raw)
+    def _part_params(self, part: ET.Element, op_name: str) -> list[ParameterDesc]:
+        element_raw = part.get("element")
+        if element_raw:
+            decl = self._find_element(element_raw)
             if decl is None:
-                _, local = self._split_qname(part.element_raw)
-                self.warnings.append(
-                    f"{self.source}: {op_name}: unresolved element {part.element_raw!r}; "
-                    "parameter kept without type or concept"
-                )
-                return [ParameterDesc(name=local)]
+                return self._unresolved(f"{op_name}: unresolved element", element_raw)
             return self._element_params(decl)
-        if part.type_raw:
-            concept = self._concept_for_type(part.type_raw)
-            name = part.name or "part"
-            return [ParameterDesc(name=name, xsd_type=part.type_raw, concept=concept)]
-        if part.name:
+        name = part.get("name")
+        type_raw = part.get("type")
+        if type_raw:
+            return [self._param(name or "part", type_raw, None)]
+        if name:
             self.warnings.append(
-                f"{self.source}: {op_name}: part {part.name!r} has neither element nor type"
+                f"{self.source}: {op_name}: part {name!r} has neither element nor type"
             )
-            return [ParameterDesc(name=part.name)]
+            return [ParameterDesc(name=name)]
         return []
 
     def _element_params(self, decl: _ElementDecl) -> list[ParameterDesc]:
@@ -447,31 +448,17 @@ class _DocumentIndex:
             for child in children:
                 params.extend(self._child_params(child))
             return params
-        concept = decl.concept
-        if concept is None:
-            concept = self._concept_for_type(decl.type_raw)
-        return [ParameterDesc(name=decl.name, xsd_type=decl.type_raw, concept=concept)]
+        return [self._param(decl.name, decl.type_raw, decl.concept)]
 
     def _child_params(self, child: _ChildDecl) -> list[ParameterDesc]:
         if child.ref_raw:
             target = self._find_element(child.ref_raw)
             if target is None:
-                _, local = self._split_qname(child.ref_raw)
-                self.warnings.append(
-                    f"{self.source}: unresolved element ref {child.ref_raw!r}; "
-                    "parameter kept without type or concept"
-                )
-                return [ParameterDesc(name=local)]
-            concept = target.concept
-            if concept is None:
-                concept = self._concept_for_type(target.type_raw)
-            return [ParameterDesc(name=target.name, xsd_type=target.type_raw, concept=concept)]
+                return self._unresolved("unresolved element ref", child.ref_raw)
+            return [self._param(target.name, target.type_raw, target.concept)]
         if not child.name:
             return []
-        concept = child.concept
-        if concept is None:
-            concept = self._concept_for_type(child.type_raw)
-        return [ParameterDesc(name=child.name, xsd_type=child.type_raw, concept=concept)]
+        return [self._param(child.name, child.type_raw, child.concept)]
 
 
 def _dedupe_params(params: list[ParameterDesc]) -> list[ParameterDesc]:

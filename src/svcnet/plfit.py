@@ -282,7 +282,8 @@ def sample_power_law(
 
     Quantiles inside a precomputed table are resolved by binary search; the
     rare draws beyond it fall back to an exact doubling-plus-bisection search
-    on the survival function.
+    on the survival function.  A draw of 2^63 or more, which exponents up to
+    about 1.15 produce, raises :class:`DegenerateInputError`.
     """
     return _draw(*_power_law_table(alpha, xmin), alpha, xmin, size, rng)
 
@@ -319,12 +320,21 @@ def _draw(
     return out.astype(np.int64)
 
 
+# Draws are int64; an exponent near 1 puts some quantiles past this.
+_DRAW_MAX = int(np.iinfo(np.int64).max)
+
+
 def _tail_quantile(alpha: float, xmin: int, u: float, z_xmin: float) -> int:
     # Smallest x with P(X <= x) >= u, i.e. zeta(alpha, x+1)/zeta(alpha, xmin) <= 1-u.
     target = (1.0 - u) * z_xmin
     hi = max(2 * xmin, 2)
     while hurwitz_zeta(alpha, float(hi + 1)) > target:
-        hi *= 2
+        if hi >= _DRAW_MAX:
+            raise DegenerateInputError(
+                f"power law with alpha={float(alpha)!r} draws values of 2^63 or more; "
+                "cannot sample it (alpha is too close to 1)"
+            )
+        hi = min(2 * hi, _DRAW_MAX)
     lo = xmin
     while lo < hi:
         mid = (lo + hi) // 2
@@ -412,6 +422,7 @@ def fit_with_gof(
     samples: Iterable[int], n_boot: int = 1000, seed: int = 0
 ) -> PowerLawFit:
     """Fit, then attach the bootstrap p-value and the p < 0.1 rejection flag."""
+    samples = list(samples)  # read twice below; an iterator would be spent
     fit = fit_power_law(samples)
     p = gof_pvalue(fit, samples, n_boot=n_boot, seed=seed)
     return replace(

@@ -154,6 +154,25 @@ def test_analyze_two_triangle_bridge(capsys, tmp_path):
     assert giant["communities"]["count"] == 2
 
 
+def test_power_law_too_close_to_one_is_reported_unavailable(capsys, tmp_path, monkeypatch):
+    # Desk-size degree samples fit alpha of 1.25 or more, so the fit is
+    # moved to an exponent whose bootstrap draws pass int64.
+    from dataclasses import replace
+
+    from svcnet import plfit
+
+    fit = plfit.fit_power_law
+    monkeypatch.setattr(plfit, "fit_power_law", lambda s: replace(fit(s), alpha=1.05))
+    edges = [f"hub\tn{i}" for i in range(12)] + ["n0\tn1", "n1\tn2", "n2\tn3"]
+    net_file = tmp_path / "star.edgelist"
+    net_file.write_text("\n".join(edges) + "\n")
+    code, out, err = run(capsys, "analyze", str(net_file), "--plfit-boot", "100")
+    assert code == 0 and "Traceback" not in err
+    power_law = json.loads(out)["network"]["giant"]["power_law"]
+    assert power_law["available"] is False
+    assert "alpha=1.05" in power_law["reason"]
+
+
 def test_analyze_directory_requires_matcher(capsys, fig1_dir):
     code, _, err = run(capsys, "analyze", str(fig1_dir), "--plfit-boot", "0")
     assert code == 2

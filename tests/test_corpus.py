@@ -1,7 +1,13 @@
+import io
 import json
+import re
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svcnet import corpus
 from svcnet.corpus import (
     CorpusError,
     ParameterDesc,
@@ -118,6 +124,13 @@ def test_non_wsdl_root_rejected():
         parse_description(b"<other/>", "other.xml")
 
 
+@pytest.mark.parametrize("encoding", [b"bogus", b"shift_jis", b"rot13", b"idna"])
+def test_unusable_declared_encoding_is_malformed_xml(encoding):
+    doc = GETPRICE_WSDL.replace(b'encoding="UTF-8"', b'encoding="' + encoding + b'"')
+    with pytest.raises(CorpusError, match=r"enc\.wsdl: malformed XML"):
+        parse_description(doc, "enc.wsdl")
+
+
 def test_operation_without_io_warned_but_kept():
     doc = GETPRICE_WSDL.replace(
         b'<wsdl:input message="tns:getPriceRequest"/>', b""
@@ -192,6 +205,20 @@ def test_unresolved_element_kept_with_warning():
     assert any("unresolved element" in w for w in parsed.warnings)
 
 
+@pytest.mark.parametrize("doc, where", [
+    (GETPRICE_WSDL.replace(b'element="tns:book"', b'element="tns:"'),
+     "getPrice: unresolved element 'tns:'"),
+    (GETPRICE_WSDL.replace(b'element="tns:book"', b'element=":"'),
+     "getPrice: unresolved element ':'"),
+    (WRAPPER_WSDL.replace(b'<xsd:element name="quantity" type="xsd:int"/>',
+                          b'<xsd:element ref="tns:"/>'),
+     "unresolved element ref 'tns:'"),
+], ids=["part-prefix-only", "part-colon", "child-ref"])
+def test_element_reference_without_local_name_is_a_corpus_error(doc, where):
+    with pytest.raises(CorpusError, match=f"nolocal.wsdl: {where} has no local name"):
+        parse_description(doc, "nolocal.wsdl")
+
+
 def test_part_with_type_records_raw_qname():
     doc = GETPRICE_WSDL.replace(
         b'<wsdl:part name="book" element="tns:book"/>',
@@ -201,6 +228,40 @@ def test_part_with_type_records_raw_qname():
     (inp,) = find_op(parsed, "getPrice").inputs
     assert inp.name == "book"
     assert inp.xsd_type == "imported:BookType"
+
+
+# The schema of namespace b rebinds tns, and both schemas declare "item".
+REBOUND_WSDL = b"""<?xml version="1.0" encoding="UTF-8"?>
+<wsdl:definitions name="Rebound" targetNamespace="http://ex.org/a"
+    xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"
+    xmlns:xsd="http://www.w3.org/2001/XMLSchema"
+    xmlns:tns="http://ex.org/a"
+    xmlns:sawsdl="http://www.w3.org/ns/sawsdl">
+  <wsdl:types>
+    <xsd:schema targetNamespace="http://ex.org/b" xmlns:tns="http://ex.org/b">
+      <xsd:element name="item" type="xsd:string"
+                   sawsdl:modelReference="http://ex.org/onto#B"/>
+    </xsd:schema>
+    <xsd:schema targetNamespace="http://ex.org/a">
+      <xsd:element name="item" type="xsd:int"
+                   sawsdl:modelReference="http://ex.org/onto#A"/>
+    </xsd:schema>
+  </wsdl:types>
+  <wsdl:message name="getRequest">
+    <wsdl:part name="item" element="tns:item"/>
+  </wsdl:message>
+  <wsdl:portType name="ReboundPortType">
+    <wsdl:operation name="get">
+      <wsdl:input message="tns:getRequest"/>
+    </wsdl:operation>
+  </wsdl:portType>
+</wsdl:definitions>
+"""
+
+
+def test_prefix_bound_twice_keeps_its_first_binding():
+    (inp,) = find_op(parse_description(REBOUND_WSDL, "rebound.wsdl"), "get").inputs
+    assert (inp.xsd_type, inp.concept) == ("xsd:int", "http://ex.org/onto#A")
 
 
 def test_parse_is_deterministic():
@@ -321,3 +382,124 @@ def test_parameter_desc_validation():
 def test_concept_iri_with_unicode_whitespace_is_rejected(space):
     with pytest.raises(ValueError, match="absolute IRI"):
         ParameterDesc(name="x", concept=f"http://ex.org/onto#a{space}b")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing against the two-pass parse
+# ---------------------------------------------------------------------------
+
+
+def two_pass_parse(data: bytes, source: str):
+    """Reference front end: ``ET.fromstring`` for the tree, then a second
+    expat pass over the same bytes for the namespace prefixes."""
+    try:
+        root = ET.fromstring(data)
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        raise CorpusError(f"{source}: malformed XML: {exc}") from exc
+    nsmap = {}
+    for _, (prefix, uri) in ET.iterparse(io.BytesIO(data), events=("start-ns",)):
+        nsmap.setdefault(prefix, uri)
+    return corpus._describe(root, nsmap, source)
+
+
+def parse_outcome(parse, data: bytes):
+    """The parsed description, or the CorpusError's message; any other
+    exception propagates and fails the test."""
+    try:
+        return parse(data, "fuzz.wsdl")
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+# expat reads iterparse input 16 KiB at a time, so one seed spans two reads.
+PADDED_WSDL = GETPRICE_WSDL.replace(
+    b"<wsdl:types>", b"<!--" + b"pad " * 4500 + b"-->\n  <wsdl:types>"
+)
+FUZZ_SEEDS = [GETPRICE_WSDL, SAWSDL_ANNOTATED, WRAPPER_WSDL, REBOUND_WSDL, PADDED_WSDL]
+SPLICES = st.sampled_from([
+    b"", b"<", b">", b"/>", b"&", b";", b'"', b"=", b":", b"tns:", b"xsd:",
+    b' xmlns:tns="http://ex.org/other"', b"&amp;", b"&lt;", b"&#0;", b"&undefined;",
+    b"<!--", b"-->", b"<![CDATA[x]]>", b"\xff", b"\x00", b"\xc3\xa9",
+    b' sawsdl:modelReference="http://ex.org/onto#X http://ex.org/onto#Y"',
+    b' sawsdl:modelReference="not an iri"', b' ref="tns:book"',
+]) | st.binary(max_size=6)
+
+
+ATTRIBUTE_VALUES = st.sampled_from([
+    b"", b"tns:", b":", b"tns:book", b"tns:price", b"other:book", b"book", b"tns:ReceiptType",
+    b"xsd:string", b"http://ex.org/onto#Book", b"http://ex.org/onto#A http://ex.org/onto#B",
+    b"not-an-iri", b"getPrice", b"tns:getPriceRequest",
+])
+
+
+@st.composite
+def mutated_wsdl(draw) -> bytes:
+    """A fixture with lines deleted or repeated, attribute values swapped,
+    short spans overwritten and maybe a truncated tail."""
+    lines = draw(st.sampled_from(FUZZ_SEEDS)).split(b"\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    data = b"\n".join(lines)
+    values = [m.span(1) for m in re.finditer(rb'="([^"]*)"', data)]
+    for i in sorted(draw(st.sets(st.integers(0, len(values) - 1), max_size=3)), reverse=True):
+        start, end = values[i]
+        data = data[:start] + draw(ATTRIBUTE_VALUES) + data[end:]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = min(len(data), i + draw(st.integers(0, 8)))
+        data = data[:i] + draw(SPLICES) + data[j:]
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+ENTITY_VALUES = [
+    "tns:book", "getPrice", "http://ex.org/onto#Book", "", "&#60;", "&amp;x",
+    "<wsdl:documentation/>", "&a;", "&b;&b;&b;&b;", "&undefined;",
+]
+ENTITY_USES = [
+    (b'element="tns:book"', b'element="&a;"'),
+    (b'name="getPrice"', b'name="&b;&c;"'),
+    (b'<wsdl:types>', b'<wsdl:types>&c;'),
+    (b'<wsdl:portType', b'&a;<wsdl:portType'),
+    (b'type="xsd:string"', b'type="&b;"'),
+]
+
+
+@st.composite
+def entity_wsdl(draw) -> bytes:
+    """GETPRICE_WSDL with an internal DTD of general, external and
+    parameter entities, some nested or recursive, referenced in attribute
+    values and content."""
+    decls = []
+    for name in ("a", "b", "c"):
+        kind = draw(st.sampled_from(["internal", "external", "parameter", "none"]))
+        value = draw(st.sampled_from(ENTITY_VALUES))
+        if kind == "internal":
+            decls.append(f'<!ENTITY {name} "{value}">')
+        elif kind == "external":
+            decls.append(f'<!ENTITY {name} SYSTEM "file:///nonexistent/{name}.xml">')
+        elif kind == "parameter":
+            decls.append(f'<!ENTITY % {name} "{value}">')
+    doctype = "<!DOCTYPE wsdl:definitions [" + "".join(decls) + "]>\n"
+    head, rest = GETPRICE_WSDL.split(b"\n", 1)
+    data = head + b"\n" + doctype.encode() + rest
+    for old, new in draw(st.lists(st.sampled_from(ENTITY_USES), max_size=3, unique=True)):
+        data = data.replace(old, new, 1)
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_wsdl())
+def test_mutated_wsdl_parses_as_the_two_pass_reference(data):
+    assert parse_outcome(parse_description, data) == parse_outcome(two_pass_parse, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entity_wsdl())
+def test_entity_laden_wsdl_parses_as_the_two_pass_reference(data):
+    assert parse_outcome(parse_description, data) == parse_outcome(two_pass_parse, data)

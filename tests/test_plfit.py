@@ -9,6 +9,7 @@ from conftest import oracle_power_law_sample
 from svcnet import plfit
 from svcnet.errors import DegenerateInputError, UsageError
 from svcnet.plfit import (
+    PowerLawFit,
     fit_power_law,
     fit_with_gof,
     gof_pvalue,
@@ -173,6 +174,12 @@ def test_sampler_validates_parameters():
         sample_power_law(2.0, 0, 5, rng)
 
 
+@pytest.mark.parametrize("alpha", [1.01, 1.05, 1.15])
+def test_sampler_refuses_draws_past_int64(alpha):
+    with pytest.raises(DegenerateInputError, match=f"alpha={alpha}"):
+        sample_power_law(alpha, 1, 5000, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # Goodness of fit
 # ---------------------------------------------------------------------------
@@ -209,6 +216,18 @@ def test_small_n_boot_warns():
     fit = fit_power_law(samples)
     with pytest.warns(UserWarning, match="resolution"):
         gof_pvalue(fit, samples, n_boot=20, seed=0)
+
+
+def test_gof_refuses_a_fit_whose_draws_pass_int64():
+    samples = [1, 1, 1, 2, 2, 3, 5, 8, 13]
+    fit = PowerLawFit(alpha=1.05, xmin=1, ks=0.1, n_tail=len(samples), zeros_removed=0)
+    with pytest.raises(DegenerateInputError, match="alpha=1.05"):
+        gof_pvalue(fit, samples, n_boot=100, seed=0)
+
+
+def test_fit_with_gof_reads_a_one_pass_iterable_once():
+    xs = [1, 1, 1, 2, 2, 3, 5, 8, 13]
+    assert fit_with_gof(iter(xs), n_boot=100) == fit_with_gof(xs, n_boot=100)
 
 
 def test_gof_is_deterministic():
