@@ -54,6 +54,7 @@ REPORT_SCHEMA = "svcnet-report/1"
 COMPARE_SCHEMA = "svcnet-compare/1"
 ER_SAMPLES = 10
 TOP_K = 10
+DEFAULT_THREADS = 4  # compare's worker cap without SVCNET_THREADS
 
 _KIND_INDEX = {kind: i for i, kind in enumerate(ALL_KINDS)}
 
@@ -71,10 +72,10 @@ CONVENTIONS = {
 }
 
 
-def thread_cap(default: int = 4) -> int:
+def thread_cap() -> int:
     raw = os.environ.get("SVCNET_THREADS")
     if not raw:
-        return default
+        return DEFAULT_THREADS
     try:
         value = int(raw)
     except ValueError:
@@ -371,10 +372,6 @@ def _load_collection_arg(path) -> ServiceCollection:
     return coll
 
 
-def _load_ontology_arg(path: str | None) -> Ontology | None:
-    return load_ontology(path) if path else None
-
-
 def _load_network_file(
     path: Path, force_graphml: bool
 ) -> tuple[InteractionNetwork, dict[str, str] | None]:
@@ -387,9 +384,14 @@ def _load_network_file(
     return read_edgelist(text), None
 
 
+def _build_options(args) -> BuildOptions:
+    return BuildOptions(zero_input_targets=args.zero_input_targets,
+                        reflexive_subsumption=args.reflexive_subsumption)
+
+
 def _resolve_build_inputs(args) -> tuple[MatcherKind, Ontology]:
     kind = MatcherKind.from_name(args.matcher)
-    onto = _load_ontology_arg(args.ontology)
+    onto = load_ontology(args.ontology) if args.ontology else None
     if kind in (MatcherKind.PLUGIN, MatcherKind.SUBSUME) and onto is None:
         raise UsageError(f"--matcher {kind.value} requires --ontology")
     if kind is MatcherKind.EXACT and onto is None:
@@ -416,11 +418,7 @@ def _write_output(text: str, output: str | None) -> None:
 def cmd_extract(args) -> int:
     kind, onto = _resolve_build_inputs(args)
     coll = _load_collection_arg(args.collection)
-    opts = BuildOptions(
-        zero_input_targets=args.zero_input_targets,
-        reflexive_subsumption=args.reflexive_subsumption,
-    )
-    net = build_network(coll, kind, onto, opts)
+    net = build_network(coll, kind, onto, _build_options(args))
     text = export_network(net, args.format, domains=coll.domain_of_operation())
     _write_output(text, args.output)
     return 0
@@ -436,10 +434,7 @@ def cmd_analyze(args) -> int:
     params.validate()
 
     target = Path(args.path)
-    opts = BuildOptions(
-        zero_input_targets=args.zero_input_targets,
-        reflexive_subsumption=args.reflexive_subsumption,
-    )
+    opts = _build_options(args)
     if target.is_dir():
         if not args.matcher:
             raise UsageError("analyzing a collection directory requires --matcher")
@@ -468,17 +463,13 @@ def cmd_compare(args) -> int:
     )
     params.validate()
     coll = _load_collection_arg(args.collection)
-    onto = _load_ontology_arg(args.ontology)
+    onto = load_ontology(args.ontology) if args.ontology else None
     if onto is None:
         print(
             "warning: no --ontology; plug-in and subsume networks can only be empty",
             file=sys.stderr,
         )
-    opts = BuildOptions(
-        zero_input_targets=args.zero_input_targets,
-        reflexive_subsumption=args.reflexive_subsumption,
-    )
-    report = compare_collection(coll, onto, opts, params)
+    report = compare_collection(coll, onto, _build_options(args), params)
     _write_output(render_report(report), args.output)
     if args.csv:
         Path(args.csv).write_text(report_to_csv(report), encoding="utf-8")

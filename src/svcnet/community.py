@@ -8,10 +8,10 @@ agglomerates adjacent communities with the Ward-style merge that minimizes
 the increase in squared walk distances.  Disconnected inputs are processed
 per weak component, giving a forest of dendrograms; the best partition is the
 modularity-maximal cut, scanned per tree (modularity is additive over
-components).
+components).  Both count the links between communities in one shared table.
 
-All tie-breaking is lexicographic by smallest member node id, so runs are
-reproducible.
+Merge-cost ties break by smallest leaf index, which is smallest member node id
+since leaves are sorted, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -123,56 +123,69 @@ def _walktrap_component(
     walk = np.linalg.matrix_power(trans, t)
     inv_deg = 1.0 / deg
 
-    # Community state, keyed by local community id (leaves 0..n-1, then n+i).
-    size: dict[int, int] = {i: 1 for i in range(n)}
+    # Community state by local id (leaves 0..n-1, then n+i); prob's keys are live.
+    size = [1] * n
+    first = list(range(n))
     prob: dict[int, np.ndarray] = {i: walk[i] for i in range(n)}
-    min_id: dict[int, str] = {i: leaves[i] for i in range(n)}
-    neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i, j in zip(a.tolist(), b.tolist()):
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    alive: set[int] = set(range(n))
-
-    def merge_cost(c1: int, c2: int) -> float:
-        diff = prob[c1] - prob[c2]
-        s1, s2 = size[c1], size[c2]
-        return (s1 * s2 / (s1 + s2)) * float((diff * diff * inv_deg).sum()) / n
+    links = _link_table(n, a, b)
 
     def heap_entry(c1: int, c2: int) -> tuple:
-        if min_id[c2] < min_id[c1]:
+        if first[c2] < first[c1]:
             c1, c2 = c2, c1
-        return (merge_cost(c1, c2), min_id[c1], min_id[c2], c1, c2)
+        diff = prob[c1] - prob[c2]
+        s1, s2 = size[c1], size[c2]
+        cost = (s1 * s2 / (s1 + s2)) * float((diff * diff * inv_deg).sum()) / n
+        return (cost, first[c1], first[c2], c1, c2)
 
+    # Entries are unique and totally ordered, so the pops do not depend on the
+    # order of the pushes.
     heap = [heap_entry(i, j) for i, j in zip(a.tolist(), b.tolist())]
     heapq.heapify(heap)
 
     merges: list[tuple[int, int, float]] = []
     sigma = 0.0
-    next_id = n
     while len(merges) < n - 1:
         cost, _, _, c1, c2 = heapq.heappop(heap)
-        if c1 not in alive or c2 not in alive:
+        if c1 not in prob or c2 not in prob:
             continue
-        new = next_id
-        next_id += 1
+        new = n + len(merges)
         sigma += cost
         merges.append((c1, c2, sigma))
 
         s1, s2 = size[c1], size[c2]
-        prob[new] = (s1 * prob[c1] + s2 * prob[c2]) / (s1 + s2)
-        size[new] = s1 + s2
-        min_id[new] = min(min_id[c1], min_id[c2])
-        nbrs = (neighbors[c1] | neighbors[c2]) - {c1, c2}
-        neighbors[new] = nbrs
-        alive -= {c1, c2}
-        alive.add(new)
-        for other in sorted(nbrs, key=lambda c: min_id[c]):
-            neighbors[other] -= {c1, c2}
-            neighbors[other].add(new)
+        prob[new] = (s1 * prob.pop(c1) + s2 * prob.pop(c2)) / (s1 + s2)
+        size.append(s1 + s2)
+        first.append(min(first[c1], first[c2]))
+        _merge_links(links, c1, c2, new)
+        for other in links[new]:
             heapq.heappush(heap, heap_entry(new, other))
-        for dead in (c1, c2):
-            prob.pop(dead)
     return DendroTree(leaves=leaves, merges=tuple(merges))
+
+
+def _link_table(n: int, a: np.ndarray, b: np.ndarray) -> dict[int, dict[int, int]]:
+    """Links between the communities of a tree's leaves 0..n-1, as
+    ``{community: {neighbour: links}}``; ``a``/``b`` are the pairs' ends."""
+    table: dict[int, dict[int, int]] = {i: {} for i in range(n)}
+    for i, j in zip(a.tolist(), b.tolist()):
+        table[i][j] = table[j][i] = 1
+    return table
+
+
+def _merge_links(table: dict[int, dict[int, int]], c1: int, c2: int, new: int) -> int:
+    """Merge communities ``c1`` and ``c2`` of ``table`` into ``new``; return
+    the number of links between them."""
+    between = table[c1].get(c2, 0)
+    merged: dict[int, int] = {}
+    for source in (c1, c2):
+        for other, count in table.pop(source).items():
+            if other in (c1, c2):
+                continue
+            merged[other] = merged.get(other, 0) + count
+            peer = table[other]
+            del peer[source]
+            peer[new] = peer.get(new, 0) + count
+    table[new] = merged
+    return between
 
 
 # ---------------------------------------------------------------------------
@@ -249,30 +262,16 @@ def _best_tree_cut(
     """Best cut of one tree; ``a``/``b`` are its pairs' leaf positions and
     ``deg`` its leaves' undirected degrees."""
     n = len(tree.leaves)
-    cross: dict[int, dict[int, int]] = {i: {} for i in range(n)}
-    for ia, ib in zip(a.tolist(), b.tolist()):
-        cross[ia][ib] = cross[ib][ia] = 1
-
-    sum_deg: dict[int, int] = dict(enumerate(deg))
+    links = _link_table(n, a, b)
+    sum_deg = list(deg)
 
     gains = [0.0]
     q = 0.0
     for pos, (c1, c2, _) in enumerate(tree.merges):
-        between = cross[c1].get(c2, 0)
+        between = _merge_links(links, c1, c2, n + pos)
         q += between / m - 2.0 * (sum_deg[c1] / (2 * m)) * (sum_deg[c2] / (2 * m))
         gains.append(q)
-        new = n + pos
-        sum_deg[new] = sum_deg[c1] + sum_deg[c2]
-        merged: dict[int, int] = {}
-        for source in (c1, c2):
-            for other, count in cross.pop(source).items():
-                if other in (c1, c2):
-                    continue
-                merged[other] = merged.get(other, 0) + count
-                peer = cross[other]
-                peer.pop(source, None)
-                peer[new] = peer.get(new, 0) + count
-        cross[new] = merged
+        sum_deg.append(sum_deg[c1] + sum_deg[c2])
 
     best_t = max(range(len(gains)), key=lambda i: (gains[i], i))
 

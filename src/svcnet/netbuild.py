@@ -215,7 +215,7 @@ def build_network(
     dst: list[int] = []
     for j, op in enumerate(ops):
         feeders = set(range(len(ops))) if not op.inputs and opts.zero_input_targets else None
-        for p in sorted(op.inputs, key=lambda p: (p.name, p.concept or "")):
+        for p in op.inputs:
             cand = candidates(p)
             # copy: candidates() may hand back an index set, and feeders is
             # mutated below

@@ -1,12 +1,15 @@
 """Shared fixtures: analytic graphs, the worked three-operation example, and
 independent oracles (Floyd-Warshall distances, naive pairwise network build,
 brute-force triangle and modularity counters, a power-law sampler on scipy's
-Hurwitz zeta)."""
+Hurwitz zeta), and a text-mutation strategy for fuzzing the readers."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
 from svcnet.corpus import (
@@ -175,3 +178,43 @@ def oracle_power_law_sample(alpha: float, xmin: int, size: int, seed: int) -> np
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid + 1)
     return lo
+
+
+# ---------------------------------------------------------------------------
+# Reader fuzzing
+# ---------------------------------------------------------------------------
+
+# Lone surrogates are left out: a strict UTF-8 file read cannot produce them.
+TEXT_SPLICES = st.sampled_from([
+    "", "<", ">", "/>", "&", ";", '"', "=", ":", "#", "\t", "\n", "\r", "\u2028", "\x00",
+    "&amp;", "&#13;", "&#0;", "&undefined;", "<!--", "-->", "<![CDATA[x]]>", "é",
+    '<!DOCTYPE x [<!ENTITY e "&#60;">]>', "&e;",
+]) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def mutated_text(draw, seeds: list[str]) -> str:
+    """One of ``seeds`` with lines deleted or repeated, attribute values
+    swapped for others of the same document, short spans overwritten and
+    maybe a truncated tail."""
+    lines = draw(st.sampled_from(seeds)).split("\n")
+    for _ in range(draw(st.integers(0, min(3, len(lines) - 1)))):
+        i = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    text = "\n".join(lines)
+    spans = [m.span(1) for m in re.finditer(r'="([^"]*)"', text)]
+    values = st.sampled_from(sorted({text[a:b] for a, b in spans} | {"", "#x", "bogus"}))
+    for i in sorted(draw(st.sets(st.integers(0, len(spans) - 1), max_size=3)) if spans else (),
+                    reverse=True):
+        start, end = spans[i]
+        text = text[:start] + draw(values) + text[end:]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = min(len(text), i + draw(st.integers(0, 8)))
+        text = text[:i] + draw(TEXT_SPLICES) + text[j:]
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text

@@ -1,9 +1,13 @@
+import hashlib
+import itertools
 import json
 
 import pytest
 
 from conftest import make_net, modularity_by_counting, undirected
 from svcnet.community import (
+    Dendrogram,
+    DendroTree,
     Partition,
     best_partition,
     dendrogram_to_json,
@@ -117,6 +121,33 @@ def test_planted_two_block_recovery_sample():
     assert recovered >= 9
 
 
+# dendrogram_to_json(walktrap(net)) of graphs whose merge costs tie exactly, so
+# the tie-break by smallest member decides most merges; recorded while ties
+# still compared member id strings and pushes came in sorted order
+TIED_DENDROGRAMS = {
+    "ring12": (lambda: undirected([(f"r{i}", f"r{(i + 1) % 12}") for i in range(12)]),
+               "dc3dc035abc1ad0096f1aa9fab9b46a91d27f5dd76b66fb36f4aa4bc47adbb97"),
+    "k6": (lambda: undirected([(f"k{i}", f"k{j}") for i in range(6) for j in range(i + 1, 6)]),
+           "0e1c050226467d3771b75b1bf2dbab6ea9201649428839e84e335112af408249"),
+    "star9": (lambda: undirected([("hub", f"s{i}") for i in range(8)]),
+              "682b8c8dba0f84d6c4d1ef8aeed76199fd8153a7713168324dd1187ea18276ae"),
+    "grid4x4": (lambda: undirected([(f"g{r}{c}", f"g{r}{c + 1}") for r in range(4) for c in range(3)]
+                                   + [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(3) for c in range(4)]),
+                "b3d90f3591a2a548ae31417d55b1cffd3f0e152907e33562aa41101630dd4512"),
+    "two-triangles-and-an-edge": (
+        lambda: undirected([("a0", "a1"), ("a1", "a2"), ("a0", "a2"),
+                            ("b0", "b1"), ("b1", "b2"), ("b0", "b2"), ("c0", "c1")]),
+        "7dd4f5abe809c7e1f8f733038287a7d090c04f0641ef4ddabe3fb1fcc50506e8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIED_DENDROGRAMS))
+def test_tied_merge_costs_dendrogram_digests(name):
+    make, digest = TIED_DENDROGRAMS[name]
+    text = dendrogram_to_json(walktrap(make()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # Modularity
 # ---------------------------------------------------------------------------
@@ -213,6 +244,55 @@ def test_edgeless_network_best_partition_is_singletons():
     part, score = best_partition(walktrap(net), net)
     assert part.community_count == 3
     assert score.q == 0.0
+
+
+def tree_cuts(tree: DendroTree) -> list[list[frozenset[str]]]:
+    """The communities of every cut of one tree, after 0..len(merges) merges."""
+    n = len(tree.leaves)
+    members = {i: frozenset([leaf]) for i, leaf in enumerate(tree.leaves)}
+    cuts = [list(members.values())]
+    for pos, (c1, c2, _) in enumerate(tree.merges):
+        members[n + pos] = members.pop(c1) | members.pop(c2)
+        cuts.append(list(members.values()))
+    return cuts
+
+
+def partition_of(groups) -> Partition:
+    return Partition(assignment={node: c for c, group in enumerate(groups) for node in group},
+                     community_count=len(groups))
+
+
+HAND_MADE = {
+    # fewer than n - 1 merges: {t0, t1, t2}, {t3, t4} and {t5} never merge
+    "partial": [(("t0", "t1", "t2", "t3", "t4", "t5"),
+                 ((0, 1, 0.1), (6, 2, 0.2), (3, 4, 0.3)))],
+    # a forest whose trees split a triangle; one tree never merges
+    "forest": [(("t0", "t1", "t2", "t3"), ((2, 3, 0.1), (0, 4, 0.2), (1, 5, 0.3))),
+               (("t4",), ()),
+               (("t5",), ())],
+    "two-trees": [(("t0", "t1", "t3"), ((0, 2, 0.5), (1, 3, 0.6))),
+                  (("t2", "t4", "t5"), ((1, 2, 0.1), (0, 3, 0.2)))],
+    # orders Walktrap would not choose: the bridge first, or unlinked pairs
+    "bridge-first": [(("t0", "t1", "t2", "t3", "t4", "t5"),
+                      ((2, 3, 0.0), (0, 1, 0.0), (4, 5, 0.0), (7, 6, 0.0), (9, 8, 0.0)))],
+    "unlinked-pairs": [(("t0", "t1", "t2", "t3", "t4", "t5"),
+                        ((0, 5, 0.0), (2, 3, 0.0), (1, 4, 0.0), (6, 7, 0.0), (9, 8, 0.0)))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_best_partition_of_hand_made_dendrogram(name, two_triangle_bridge):
+    net = two_triangle_bridge
+    dend = Dendrogram(trees=tuple(DendroTree(leaves, merges) for leaves, merges in HAND_MADE[name]))
+    part, score = best_partition(dend, net)
+
+    combos = [[g for cut in combo for g in cut]
+              for combo in itertools.product(*map(tree_cuts, dend.trees))]
+    best = max(modularity(net, partition_of(groups)).q for groups in combos)
+    assert score.q == pytest.approx(best, abs=1e-12)
+    assert modularity(net, part).q == pytest.approx(score.q, abs=1e-12)
+    assert any(set(part.communities()) == set(map(tuple, map(sorted, groups)))
+               for groups in combos)
 
 
 # ---------------------------------------------------------------------------

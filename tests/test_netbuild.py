@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_net, naive_build, params
+from conftest import make_net, mutated_text, naive_build, params
 from svcnet.corpus import OperationDesc, ServiceCollection, ServiceDesc
 from svcnet.errors import SvcnetError, UsageError
 from svcnet.gen import GenSpec, generate
@@ -286,3 +286,41 @@ def test_generated_networks_respect_invariants(seed):
         node_set = set(net.nodes)
         assert all(src != dst for src, dst in net.edges)
         assert all(src in node_set and dst in node_set for src, dst in net.edges)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: a malformed network file is an SvcnetError, never a traceback
+# ---------------------------------------------------------------------------
+
+FUZZ_NET = InteractionNetwork(
+    nodes=["a.op", "b.op", "c op", "lonely", "é"],
+    edges=[("a.op", "b.op"), ("b.op", "c op"), ("a.op", "c op"), ("c op", "é")],
+    kind=MatcherKind.PLUGIN,
+    options=BuildOptions(zero_input_targets=True),
+)
+GRAPHML_SEEDS = [
+    export_network(FUZZ_NET, "graphml", domains={"a.op": "travel", "c op": "a & b"}),
+    export_network(make_net([("x", "y")]), "graphml"),
+]
+EDGELIST_SEED = "# src<TAB>dst\n\nlonely\tlonely\n" + export_network(FUZZ_NET, "edgelist")
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_text(GRAPHML_SEEDS))
+def test_mutated_graphml_reads_or_raises_an_svcnet_error(text):
+    try:
+        net, domains = read_graphml(text)
+    except SvcnetError:
+        return
+    assert set(domains or ()) <= set(net.nodes)
+    assert read_graphml(export_network(net, "graphml")) == (net, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_text([EDGELIST_SEED]))
+def test_mutated_edgelist_reads_or_raises_an_svcnet_error(text):
+    try:
+        net = read_edgelist(text)
+    except SvcnetError:
+        return
+    assert read_edgelist(export_network(net, "edgelist")).edges == net.edges

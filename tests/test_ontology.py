@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutated_text
+from svcnet.errors import SvcnetError
 from svcnet.ontology import (
     Ontology,
     OntologyError,
@@ -99,14 +101,16 @@ def test_owl_rdf_id_resolves_against_base():
     assert ("http://base.example/onto#Sub", "http://base.example/onto#Super") in onto.subclass_edges
 
 
-def test_owl_functional_xml_subset():
-    doc = f"""<?xml version="1.0"?>
+FUNCTIONAL_DOC = f"""<?xml version="1.0"?>
 <Ontology xmlns="http://www.w3.org/2002/07/owl#">
   <SubClassOf><Class IRI="{A}"/><Class IRI="{B}"/></SubClassOf>
   <EquivalentClasses><Class IRI="{A}"/><Class IRI="{C}"/></EquivalentClasses>
 </Ontology>
 """
-    onto = parse_ontology(doc)
+
+
+def test_owl_functional_xml_subset():
+    onto = parse_ontology(FUNCTIONAL_DOC)
     assert onto.subclass_edges == {(A, B)}
     assert any("EquivalentClasses" in w for w in onto.warnings)
 
@@ -177,3 +181,27 @@ def test_antisymmetry_and_transitivity(edges):
 def test_ontology_empty_constructor():
     onto = Ontology.empty()
     assert not onto.is_strict_subclass(A, B)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: malformed input is an OntologyError, never a traceback
+# ---------------------------------------------------------------------------
+
+ONTOLOGY_SEEDS = [
+    f"# child<TAB>parent\n{A}\t{B}\n\n{B}\t{C}\n{C}\thttp://x/#D\n",
+    RDF_DOC,
+    RDF_DOC.replace("<rdf:RDF ", '<rdf:RDF xml:base="http://x/" ').replace(
+        f'rdf:about="{A}"', 'rdf:ID="A"'),
+    FUNCTIONAL_DOC,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_text(ONTOLOGY_SEEDS))
+def test_mutated_ontology_parses_or_raises_an_ontology_error(text):
+    try:
+        onto = parse_ontology(text, "fuzz.owl")
+    except SvcnetError:
+        return
+    for child, parent in onto.subclass_edges:
+        assert onto.is_strict_subclass(child, parent)
