@@ -372,11 +372,20 @@ def _load_collection_arg(path) -> ServiceCollection:
     return coll
 
 
+def _load_ontology_arg(path) -> Ontology | None:
+    if not path:
+        return None
+    onto = load_ontology(path)
+    for warning in onto.warnings:
+        print(f"warning: {path}: {warning}", file=sys.stderr)
+    return onto
+
+
 def _load_network_file(
     path: Path, force_graphml: bool
 ) -> tuple[InteractionNetwork, dict[str, str] | None]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if force_graphml or path.suffix.lower() in (".graphml", ".xml") or text.lstrip().startswith("<"):
@@ -391,7 +400,7 @@ def _build_options(args) -> BuildOptions:
 
 def _resolve_build_inputs(args) -> tuple[MatcherKind, Ontology]:
     kind = MatcherKind.from_name(args.matcher)
-    onto = load_ontology(args.ontology) if args.ontology else None
+    onto = _load_ontology_arg(args.ontology)
     if kind in (MatcherKind.PLUGIN, MatcherKind.SUBSUME) and onto is None:
         raise UsageError(f"--matcher {kind.value} requires --ontology")
     if kind is MatcherKind.EXACT and onto is None:
@@ -463,7 +472,7 @@ def cmd_compare(args) -> int:
     )
     params.validate()
     coll = _load_collection_arg(args.collection)
-    onto = load_ontology(args.ontology) if args.ontology else None
+    onto = _load_ontology_arg(args.ontology)
     if onto is None:
         print(
             "warning: no --ontology; plug-in and subsume networks can only be empty",

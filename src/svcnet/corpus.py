@@ -10,7 +10,8 @@ concept IRI.
 
 Each document is read by one expat pass, which yields both the element tree
 and the namespace prefixes that QName attribute values such as
-``element="tns:Req"`` refer to.
+``element="tns:Req"`` refer to.  The schema lookups hold the tree's own
+declaration elements; each one's concept and wrapper children are read once.
 """
 
 from __future__ import annotations
@@ -142,29 +143,6 @@ def collection_stats(coll: ServiceCollection) -> CollectionStats:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ElementDecl:
-    ns: str
-    name: str
-    type_raw: str | None
-    concept: str | None
-    children: list["_ChildDecl"] | None  # inline complex wrapper content
-
-
-@dataclass
-class _ChildDecl:
-    name: str | None
-    ref_raw: str | None
-    type_raw: str | None
-    concept: str | None
-
-
-@dataclass
-class _TypeDecl:
-    concept: str | None
-    children: list[_ChildDecl]
-
-
 @dataclass(frozen=True)
 class ParsedDescription:
     """One parsed document: its services and any non-fatal warnings."""
@@ -254,7 +232,12 @@ def _model_reference(el: ET.Element, source: str, warnings: list[str]) -> str | 
 
 
 class _DocumentIndex:
-    """Schema, message and service lookups local to one WSDL document."""
+    """Schema, message and service lookups local to one WSDL document.
+
+    The schema tables hold the parsed ``xsd:element``, ``xsd:complexType``
+    and ``xsd:simpleType`` declarations themselves, keyed by (target
+    namespace, name) and, first declaration wins, by name alone.
+    """
 
     def __init__(self, root: ET.Element, nsmap: dict[str, str], source: str,
                  warnings: list[str]) -> None:
@@ -262,10 +245,15 @@ class _DocumentIndex:
         self.nsmap = nsmap
         self.source = source
         self.warnings = warnings
-        self.elements: dict[tuple[str, str], _ElementDecl] = {}
-        self.elements_by_name: dict[str, _ElementDecl] = {}
-        self.types: dict[tuple[str, str], _TypeDecl] = {}
-        self.types_by_name: dict[str, _TypeDecl] = {}
+        self.elements: dict[tuple[str, str], ET.Element] = {}
+        self.elements_by_name: dict[str, ET.Element] = {}
+        self.types: dict[tuple[str, str], ET.Element] = {}
+        self.types_by_name: dict[str, ET.Element] = {}
+        # Every scanned declaration and wrapper child -> its modelReference.
+        self.concepts: dict[ET.Element, str | None] = {}
+        # Each element (None without an inline complexType) and complexType
+        # -> its wrapper children.
+        self.children: dict[ET.Element, list[ET.Element] | None] = {}
         self.messages: dict[str, list[ET.Element]] = {}  # name -> its <part>s
         self._scan_schemas()
         self._scan_messages()
@@ -276,63 +264,37 @@ class _DocumentIndex:
         types_el = self.root.find(f"{{{WSDL_NS}}}types")
         if types_el is None:
             return
+        tables = (
+            ("element", self.elements, self.elements_by_name),
+            ("complexType", self.types, self.types_by_name),
+            ("simpleType", self.types, self.types_by_name),
+        )
         for schema in types_el.iter(f"{{{XSD_NS}}}schema"):
             tns = schema.get("targetNamespace", "")
-            for el in schema.findall(f"{{{XSD_NS}}}element"):
-                name = el.get("name")
-                if not name:
-                    continue
-                decl = _ElementDecl(
-                    ns=tns,
-                    name=name,
-                    type_raw=el.get("type"),
-                    concept=_model_reference(el, self.source, self.warnings),
-                    children=self._inline_children(el),
-                )
-                self.elements[(tns, name)] = decl
-                self.elements_by_name.setdefault(name, decl)
-            for ct in schema.findall(f"{{{XSD_NS}}}complexType"):
-                name = ct.get("name")
-                if not name:
-                    continue
-                decl = _TypeDecl(
-                    concept=_model_reference(ct, self.source, self.warnings),
-                    children=self._type_children(ct),
-                )
-                self.types[(tns, name)] = decl
-                self.types_by_name.setdefault(name, decl)
-            for st in schema.findall(f"{{{XSD_NS}}}simpleType"):
-                name = st.get("name")
-                if not name:
-                    continue
-                decl = _TypeDecl(
-                    concept=_model_reference(st, self.source, self.warnings),
-                    children=[],
-                )
-                self.types[(tns, name)] = decl
-                self.types_by_name.setdefault(name, decl)
+            for tag, table, by_name in tables:
+                for decl in schema.findall(f"{{{XSD_NS}}}{tag}"):
+                    name = decl.get("name")
+                    if not name:
+                        continue
+                    self.concepts[decl] = _model_reference(decl, self.source, self.warnings)
+                    if tag == "element":
+                        inline = decl.find(f"{{{XSD_NS}}}complexType")
+                        self.children[decl] = None if inline is None else self._wrapped(inline)
+                    elif tag == "complexType":
+                        self.children[decl] = self._wrapped(decl)
+                    table[(tns, name)] = decl
+                    by_name.setdefault(name, decl)
 
-    def _inline_children(self, el: ET.Element) -> list[_ChildDecl] | None:
-        ct = el.find(f"{{{XSD_NS}}}complexType")
-        if ct is None:
-            return None
-        return self._type_children(ct)
-
-    def _type_children(self, ct: ET.Element) -> list[_ChildDecl]:
-        children: list[_ChildDecl] = []
+    def _wrapped(self, ct: ET.Element) -> list[ET.Element]:
+        """The child elements of a complexType's sequence, all and choice, in
+        that order; each one's concept is recorded as it is listed."""
+        children: list[ET.Element] = []
         for group_tag in ("sequence", "all", "choice"):
             group = ct.find(f"{{{XSD_NS}}}{group_tag}")
-            if group is None:
-                continue
-            for child in group.findall(f"{{{XSD_NS}}}element"):
-                children.append(
-                    _ChildDecl(
-                        name=child.get("name"),
-                        ref_raw=child.get("ref"),
-                        type_raw=child.get("type"),
-                        concept=_model_reference(child, self.source, self.warnings),
-                    )
-                )
+            if group is not None:
+                children.extend(group.findall(f"{{{XSD_NS}}}element"))
+        for child in children:
+            self.concepts[child] = _model_reference(child, self.source, self.warnings)
         return children
 
     def _scan_messages(self) -> None:
@@ -366,30 +328,30 @@ class _DocumentIndex:
             return self.nsmap.get(prefix), local
         return self.nsmap.get(""), raw
 
-    def _find_element(self, raw: str) -> _ElementDecl | None:
+    def _find(self, table: dict[tuple[str, str], ET.Element],
+              by_name: dict[str, ET.Element], raw: str) -> ET.Element | None:
         ns, local = self._split_qname(raw)
-        if ns is not None and (ns, local) in self.elements:
-            return self.elements[(ns, local)]
-        return self.elements_by_name.get(local)
+        if ns is not None and (ns, local) in table:
+            return table[(ns, local)]
+        return by_name.get(local)
 
-    def _find_type(self, raw: str | None) -> _TypeDecl | None:
-        if raw is None:
+    def _named_type(self, raw: str | None) -> ET.Element | None:
+        """The declared type ``raw`` names; a built-in XSD type has none."""
+        if raw is None or self._split_qname(raw)[0] == XSD_NS:
             return None
-        ns, local = self._split_qname(raw)
-        if ns == XSD_NS:
-            return None
-        if ns is not None and (ns, local) in self.types:
-            return self.types[(ns, local)]
-        return self.types_by_name.get(local)
+        return self._find(self.types, self.types_by_name, raw)
 
     def _param(self, name: str, type_raw: str | None, concept: str | None) -> ParameterDesc:
         """A leaf parameter; without a concept of its own it takes its named type's."""
         if concept is None:
-            decl = self._find_type(type_raw)
-            concept = decl.concept if decl else None
+            decl = self._named_type(type_raw)
+            concept = None if decl is None else self.concepts[decl]
         return ParameterDesc(name=name, xsd_type=type_raw, concept=concept)
 
-    def _unresolved(self, what: str, raw: str) -> list[ParameterDesc]:
+    def _leaf(self, el: ET.Element) -> ParameterDesc:
+        return self._param(el.get("name"), el.get("type"), self.concepts[el])
+
+    def _unresolved(self, what: str, raw: str) -> ParameterDesc:
         """A reference to no declared element: a bare parameter named by its local part."""
         _, local = self._split_qname(raw)
         if not local:
@@ -397,7 +359,7 @@ class _DocumentIndex:
         self.warnings.append(
             f"{self.source}: {what} {raw!r}; parameter kept without type or concept"
         )
-        return [ParameterDesc(name=local)]
+        return ParameterDesc(name=local)
 
     # -- flattening --------------------------------------------------------
 
@@ -421,10 +383,10 @@ class _DocumentIndex:
     def _part_params(self, part: ET.Element, op_name: str) -> list[ParameterDesc]:
         element_raw = part.get("element")
         if element_raw:
-            decl = self._find_element(element_raw)
-            if decl is None:
-                return self._unresolved(f"{op_name}: unresolved element", element_raw)
-            return self._element_params(decl)
+            el = self._find(self.elements, self.elements_by_name, element_raw)
+            if el is None:
+                return [self._unresolved(f"{op_name}: unresolved element", element_raw)]
+            return self._element_params(el)
         name = part.get("name")
         type_raw = part.get("type")
         if type_raw:
@@ -436,29 +398,25 @@ class _DocumentIndex:
             return [ParameterDesc(name=name)]
         return []
 
-    def _element_params(self, decl: _ElementDecl) -> list[ParameterDesc]:
-        children = decl.children
-        if children is None and decl.type_raw is not None:
-            type_decl = self._find_type(decl.type_raw)
-            if type_decl is not None and type_decl.children:
-                children = type_decl.children
-        if children:
-            # Complex wrapper: each top-level child element is one parameter.
-            params = []
-            for child in children:
-                params.extend(self._child_params(child))
-            return params
-        return [self._param(decl.name, decl.type_raw, decl.concept)]
-
-    def _child_params(self, child: _ChildDecl) -> list[ParameterDesc]:
-        if child.ref_raw:
-            target = self._find_element(child.ref_raw)
-            if target is None:
-                return self._unresolved("unresolved element ref", child.ref_raw)
-            return [self._param(target.name, target.type_raw, target.concept)]
-        if not child.name:
-            return []
-        return [self._param(child.name, child.type_raw, child.concept)]
+    def _element_params(self, el: ET.Element) -> list[ParameterDesc]:
+        children = self.children[el]
+        if children is None:
+            children = self.children.get(self._named_type(el.get("type")))
+        if not children:
+            return [self._leaf(el)]
+        # Complex wrapper: each top-level child element is one parameter.
+        params = []
+        for child in children:
+            ref = child.get("ref")
+            if ref:
+                target = self._find(self.elements, self.elements_by_name, ref)
+                if target is None:
+                    params.append(self._unresolved("unresolved element ref", ref))
+                else:
+                    params.append(self._leaf(target))
+            elif child.get("name"):
+                params.append(self._leaf(child))
+        return params
 
 
 def _dedupe_params(params: list[ParameterDesc]) -> list[ParameterDesc]:
@@ -526,7 +484,7 @@ def _load_manifest(dirpath: Path, warnings: list[str]) -> dict[str, str]:
     if not manifest.is_file():
         return {}
     try:
-        data = json.loads(manifest.read_text(encoding="utf-8"))
+        data = json.loads(manifest.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         warnings.append(f"{manifest}: unreadable manifest ignored: {exc}")
         return {}
@@ -573,12 +531,7 @@ def collection_to_json(coll: ServiceCollection) -> str:
 
 
 def collection_from_json(text: str) -> ServiceCollection:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"invalid collection dump: {exc}") from exc
-    if doc.get("schema") != COLLECTION_SCHEMA:
-        raise CorpusError(f"unsupported collection schema: {doc.get('schema')!r}")
+    """Read a collection dump; a malformed one raises :class:`CorpusError`."""
 
     def params(objs: list[dict]) -> frozenset[ParameterDesc]:
         return frozenset(
@@ -586,20 +539,26 @@ def collection_from_json(text: str) -> ServiceCollection:
             for o in objs
         )
 
-    services = tuple(
-        ServiceDesc(
-            name=s["name"],
-            domain=s.get("domain"),
-            operations=tuple(
-                OperationDesc(
-                    service=s["name"],
-                    name=o["name"],
-                    inputs=params(o.get("inputs", [])),
-                    outputs=params(o.get("outputs", [])),
-                )
-                for o in s.get("operations", [])
-            ),
+    try:
+        doc = json.loads(text)
+        if doc.get("schema") != COLLECTION_SCHEMA:
+            raise CorpusError(f"unsupported collection schema: {doc.get('schema')!r}")
+        services = tuple(
+            ServiceDesc(
+                name=s["name"],
+                domain=s.get("domain"),
+                operations=tuple(
+                    OperationDesc(
+                        service=s["name"],
+                        name=o["name"],
+                        inputs=params(o.get("inputs", [])),
+                        outputs=params(o.get("outputs", [])),
+                    )
+                    for o in s.get("operations", [])
+                ),
+            )
+            for s in doc.get("services", [])
         )
-        for s in doc.get("services", [])
-    )
-    return ServiceCollection(services=services, warnings=tuple(doc.get("warnings", [])))
+        return ServiceCollection(services=services, warnings=tuple(doc.get("warnings", [])))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CorpusError(f"invalid collection dump: {type(exc).__name__}: {exc}") from exc

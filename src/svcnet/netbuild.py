@@ -299,7 +299,9 @@ def _to_graphml(net: InteractionNetwork, domains: dict[str, str | None] | None) 
         if domain is None:
             lines.append(f"    <node id={q}/>")
         else:
-            lines.append(f'    <node id={q}><data key="domain">{escape(domain)}</data></node>')
+            # XML end-of-line handling would read a raw carriage return as \n.
+            text = escape(domain, {"\r": "&#13;"})
+            lines.append(f'    <node id={q}><data key="domain">{text}</data></node>')
     lines.extend(f"    <edge source={quoted[s]} target={quoted[d]}/>"
                  for s, d in zip(net.src.tolist(), net.dst.tolist()))
     lines.append("  </graph>")

@@ -133,7 +133,7 @@ def load_ontology(source: str | Path) -> Ontology:
     """Load an ontology from a file path, sniffing edge-list TSV vs OWL-XML."""
     path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise OntologyError(f"cannot read ontology {path}: {exc}") from exc
     return parse_ontology(text, str(path))
@@ -170,6 +170,7 @@ def _parse_owl_xml(text: str, source: str) -> tuple[list[tuple[str, str]], list[
     carries ``rdf:about``/``rdf:ID``) and the OWL/XML functional serialization
     (``SubClassOf`` with two named ``Class`` children).  ``equivalentClass``
     axioms are ignored with a warning: concept equivalence is IRI identity.
+    So is a ``subClassOf`` whose subject or superclass IRI is empty.
     """
     try:
         root = ET.fromstring(text)
@@ -193,7 +194,7 @@ def _parse_owl_xml(text: str, source: str) -> tuple[list[tuple[str, str]], list[
             return resolve(about)
         ident = el.get(f"{{{RDF_NS}}}ID")
         if ident is not None:
-            return resolve("#" + ident)
+            return resolve("#" + ident) if ident else ""
         return None
 
     for el in root.iter():
@@ -225,6 +226,11 @@ def _parse_owl_xml(text: str, source: str) -> tuple[list[tuple[str, str]], list[
                     target = nested[0]
                 else:
                     target = resolve(target)
+                if not subject or not target:
+                    warnings.append(
+                        f"subClassOf axiom <{subject}> -> <{target}> with an empty IRI ignored"
+                    )
+                    continue
                 edges.append((subject, target))
             elif child.tag == f"{{{OWL_NS}}}equivalentClass":
                 warnings.append(

@@ -524,3 +524,93 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "svcnet" in capsys.readouterr().out
+
+
+def owl_from_tsv(tsv: Path, extra: str = "") -> str:
+    """The subclass edges of an edge-list ontology as RDF/XML, plus ``extra``."""
+    classes = "".join(
+        f'<owl:Class rdf:about="{child}"><rdfs:subClassOf rdf:resource="{parent}"/></owl:Class>\n'
+        for child, parent in (line.split("\t") for line in tsv.read_text().splitlines())
+    )
+    return ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+            ' xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"'
+            ' xmlns:owl="http://www.w3.org/2002/07/owl#">\n' + classes + extra + "</rdf:RDF>\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "{coll}", "--ontology", "{onto}", "--plfit-boot", "0"),
+        ("extract", "{coll}", "--matcher", "subsume", "--ontology", "{onto}"),
+        ("analyze", "{coll}", "--matcher", "plugin", "--ontology", "{onto}", "--plfit-boot", "0"),
+    ],
+    ids=["compare", "extract", "analyze-directory"],
+)
+def test_ontology_warnings_are_printed(capsys, gen_dir, tmp_path, argv):
+    plain = tmp_path / "plain.owl"
+    plain.write_text(owl_from_tsv(gen_dir / "ontology.tsv"))
+    equivalent = tmp_path / "equivalent.owl"
+    equivalent.write_text(owl_from_tsv(
+        gen_dir / "ontology.tsv",
+        '<owl:Class rdf:about="http://ex.org/onto#A">'
+        '<owl:equivalentClass rdf:resource="http://ex.org/onto#B"/></owl:Class>\n',
+    ))
+    outs = {}
+    for onto in (plain, equivalent):
+        code, outs[onto], err = run(capsys, *[a.format(coll=gen_dir, onto=onto) for a in argv])
+        assert code == 0
+        warnings = [line for line in err.splitlines() if "equivalentClass" in line]
+        if onto is plain:
+            assert warnings == []
+        else:
+            assert warnings == [
+                f"warning: {equivalent}: equivalentClass axiom on <http://ex.org/onto#A> "
+                "ignored (equivalence is IRI identity)"
+            ]
+    assert outs[plain] == outs[equivalent]
+
+
+BOM_GRAPHML = """<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <graph id="g" edgedefault="directed">
+    <node id="a"/><node id="b"/><edge source="a" target="b"/>
+  </graph>
+</graphml>
+"""
+
+
+def _export_edgelist(capsys, path: Path):
+    code, out, err = run(capsys, "export", str(path), "--format", "edgelist")
+    assert code == 0, err
+    return out
+
+
+def _ontology_edges(capsys, path: Path):
+    return svcnet.load_ontology(path).subclass_edges
+
+
+def _collection_domains(capsys, path: Path):
+    (path.parent / "figure1.wsdl").write_text(FIG1_WSDL)
+    coll = svcnet.load_collection(path.parent)
+    return [svc.domain for svc in coll.services], coll.warnings
+
+
+@pytest.mark.parametrize(
+    "name, text, read",
+    [
+        ("onto.tsv", "http://x/#A\thttp://x/#B\n", _ontology_edges),
+        ("net.edgelist", "a\tb\nb\tc\n", _export_edgelist),
+        ("net.txt", BOM_GRAPHML, _export_edgelist),
+        ("manifest.json", '{"figure1.wsdl": "travel"}', _collection_domains),
+    ],
+    ids=["ontology-tsv", "edgelist", "graphml-without-suffix", "manifest"],
+)
+def test_byte_order_mark_is_not_part_of_the_input(capsys, tmp_path, name, text, read):
+    results = []
+    for encoding in ("utf-8", "utf-8-sig"):  # the second writes a BOM
+        path = tmp_path / encoding / name
+        path.parent.mkdir()
+        path.write_text(text, encoding=encoding)
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
+        results.append(read(capsys, path))
+    assert results[0] and results[0] == results[1]

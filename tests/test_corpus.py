@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -283,6 +284,235 @@ def test_part_order_does_not_matter():
 
 
 # ---------------------------------------------------------------------------
+# Schema resolution, pinned by digest
+# ---------------------------------------------------------------------------
+
+
+# The WSDL head shared by the schema-resolution fixtures; each fills in its
+# schemas, messages and operations.
+SCHEMA_HEAD = b"""<?xml version="1.0" encoding="UTF-8"?>
+<wsdl:definitions name="Schemas" targetNamespace="http://ex.org/s"
+    xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"
+    xmlns:xsd="http://www.w3.org/2001/XMLSchema"
+    xmlns:tns="http://ex.org/s"
+    xmlns:other="http://ex.org/other"
+    xmlns:sawsdl="http://www.w3.org/ns/sawsdl"
+    xmlns:old="http://www.w3.org/2002/ws/sawsdl/spec/sawsdl#">
+"""
+
+
+def schema_doc(types: bytes, messages: bytes, operations: bytes) -> bytes:
+    return (SCHEMA_HEAD + b"<wsdl:types>" + types + b"</wsdl:types>" + messages
+            + b'<wsdl:portType name="P">' + operations + b"</wsdl:portType></wsdl:definitions>")
+
+
+SCHEMA_CASES = {
+    # An element typed by a named wrapper whose groups are read sequence,
+    # all, choice; the first (name, concept) duplicate keeps its type.  A
+    # leaf typed by a simpleType takes the type's concept.
+    "named-wrapper": schema_doc(
+        b"""<xsd:schema targetNamespace="http://ex.org/s">
+          <xsd:element name="order" type="tns:OrderType"
+                       sawsdl:modelReference="http://ex.org/onto#Order"/>
+          <xsd:element name="code" type="tns:Sku"/>
+          <xsd:element name="label" type="tns:Sku"
+                       sawsdl:modelReference="http://ex.org/onto#Label"/>
+          <xsd:complexType name="OrderType" sawsdl:modelReference="http://ex.org/onto#OT">
+            <xsd:choice>
+              <xsd:element name="x" type="xsd:string"/>
+              <xsd:element name="gift" type="xsd:boolean"/>
+            </xsd:choice>
+            <xsd:sequence>
+              <xsd:element name="item" type="tns:Sku"/>
+              <xsd:element name="x" type="xsd:int"/>
+              <xsd:element type="xsd:int" sawsdl:modelReference="http://ex.org/onto#Nameless"/>
+            </xsd:sequence>
+            <xsd:all>
+              <xsd:element name="count" type="xsd:int"
+                           old:modelReference="http://ex.org/onto#Count"/>
+              <xsd:element name="x" type="xsd:long"/>
+            </xsd:all>
+          </xsd:complexType>
+          <xsd:simpleType name="Sku" sawsdl:modelReference="http://ex.org/onto#Sku"/>
+        </xsd:schema>""",
+        b"""<wsdl:message name="in"><wsdl:part name="p" element="tns:order"/></wsdl:message>
+        <wsdl:message name="out">
+          <wsdl:part name="c" element="tns:code"/>
+          <wsdl:part name="l" element="tns:label"/>
+          <wsdl:part name="t" type="tns:Sku"/>
+          <wsdl:part name="w" type="tns:OrderType"/>
+        </wsdl:message>""",
+        b"""<wsdl:operation name="buy">
+          <wsdl:input message="tns:in"/><wsdl:output message="tns:out"/>
+        </wsdl:operation>""",
+    ),
+    # Wrapper children by ref: resolved in the target namespace, resolved by
+    # name through an unbound prefix, and unresolved.  A resolved ref is a
+    # leaf even when its target is itself a wrapper.
+    "ref-children": schema_doc(
+        b"""<xsd:schema targetNamespace="http://ex.org/s">
+          <xsd:element name="req">
+            <xsd:complexType>
+              <xsd:sequence>
+                <xsd:element ref="tns:book"/>
+                <xsd:element ref="nobody:price"/>
+                <xsd:element ref="tns:missing"/>
+                <xsd:element ref="tns:nested"/>
+                <xsd:element ref="tns:typed"/>
+                <xsd:element/>
+                <xsd:element ref="" name="plain" type="xsd:string"/>
+              </xsd:sequence>
+            </xsd:complexType>
+          </xsd:element>
+          <xsd:element name="book" type="xsd:string"
+                       sawsdl:modelReference="http://ex.org/onto#Book"/>
+          <xsd:element name="price" type="xsd:double"/>
+          <xsd:element name="nested">
+            <xsd:complexType><xsd:sequence>
+              <xsd:element name="deep" type="xsd:string"/>
+            </xsd:sequence></xsd:complexType>
+          </xsd:element>
+          <xsd:element name="typed" type="tns:Money"/>
+          <xsd:complexType name="Money" sawsdl:modelReference="http://ex.org/onto#Money">
+            <xsd:sequence><xsd:element name="amount" type="xsd:double"/></xsd:sequence>
+          </xsd:complexType>
+        </xsd:schema>""",
+        b"""<wsdl:message name="in"><wsdl:part name="p" element="tns:req"/></wsdl:message>
+        <wsdl:message name="out"><wsdl:part name="p" element="tns:nested"/></wsdl:message>""",
+        b"""<wsdl:operation name="fetch">
+          <wsdl:input message="tns:in"/><wsdl:output message="tns:out"/>
+        </wsdl:operation>""",
+    ),
+    # An inline complexType without a group makes a leaf even next to a
+    # type= naming a wrapper; the leaf takes that type's concept.  A
+    # complexType and a simpleType named alike: the qualified name finds the
+    # later declaration, the by-name fallback the first.
+    "inline-and-same-name": schema_doc(
+        b"""<xsd:schema targetNamespace="http://ex.org/s">
+          <xsd:element name="req" type="tns:Wrap"><xsd:complexType/></xsd:element>
+          <xsd:element name="wrapped" type="tns:Wrap"/>
+          <xsd:element name="q" type="tns:Dual"/>
+          <xsd:element name="u" type="Dual"/>
+          <xsd:element name="v" type="other:Dual"/>
+          <xsd:element name="s" type="xsd:Dual"/>
+          <xsd:complexType name="Wrap" sawsdl:modelReference="http://ex.org/onto#Wrap">
+            <xsd:sequence><xsd:element name="inner" type="xsd:string"/></xsd:sequence>
+          </xsd:complexType>
+          <xsd:complexType name="Dual" sawsdl:modelReference="http://ex.org/onto#DualC">
+            <xsd:sequence><xsd:element name="dc" type="xsd:string"/></xsd:sequence>
+          </xsd:complexType>
+          <xsd:simpleType name="Dual" sawsdl:modelReference="http://ex.org/onto#DualS"/>
+          <xsd:complexType name="Empty" sawsdl:modelReference="http://ex.org/onto#Empty">
+            <xsd:sequence/>
+          </xsd:complexType>
+          <xsd:element name="e" type="tns:Empty"/>
+        </xsd:schema>""",
+        b"""<wsdl:message name="a"><wsdl:part name="p" element="tns:req"/>
+          <wsdl:part name="p2" element="tns:wrapped"/></wsdl:message>
+        <wsdl:message name="b"><wsdl:part name="q" element="tns:q"/>
+          <wsdl:part name="u" element="tns:u"/><wsdl:part name="v" element="tns:v"/>
+          <wsdl:part name="s" element="tns:s"/><wsdl:part name="e" element="tns:e"/></wsdl:message>""",
+        b"""<wsdl:operation name="op">
+          <wsdl:input message="tns:a"/><wsdl:output message="tns:b"/>
+        </wsdl:operation>""",
+    ),
+    # Two schemas declare "item", and one declares "dup" twice: a qualified
+    # name finds its own namespace's (last) declaration, an unknown
+    # namespace or prefix falls back to the first declared by name.
+    "qualified-and-by-name": schema_doc(
+        b"""<xsd:schema targetNamespace="http://ex.org/other">
+          <xsd:element name="item" type="xsd:string"
+                       sawsdl:modelReference="http://ex.org/onto#OtherItem"/>
+        </xsd:schema>
+        <xsd:schema targetNamespace="http://ex.org/s">
+          <xsd:element name="item" type="xsd:int"
+                       sawsdl:modelReference="http://ex.org/onto#Item"/>
+          <xsd:element name="dup" type="xsd:int"
+                       sawsdl:modelReference="http://ex.org/onto#Dup1"/>
+          <xsd:element name="dup" type="xsd:long"
+                       sawsdl:modelReference="http://ex.org/onto#Dup2"/>
+        </xsd:schema>
+        <xsd:schema xmlns:u="urn:unused">
+          <xsd:element name="free" type="xsd:string"/>
+        </xsd:schema>""",
+        b"""<wsdl:message name="a"><wsdl:part name="p" element="tns:item"/>
+          <wsdl:part name="q" element="other:item"/>
+          <wsdl:part name="r" element="nobody:item"/>
+          <wsdl:part name="s" element="item"/></wsdl:message>
+        <wsdl:message name="b"><wsdl:part name="p" element="tns:dup"/>
+          <wsdl:part name="q" element="x:dup"/>
+          <wsdl:part name="r" element="free"/>
+          <wsdl:part name="s" element="tns:free"/></wsdl:message>""",
+        b"""<wsdl:operation name="op">
+          <wsdl:input message="tns:a"/><wsdl:output message="tns:b"/>
+        </wsdl:operation>""",
+    ),
+    # Bad modelReferences on declarations no part refers to: the warnings
+    # come in scan order (elements with their inline children, then
+    # complex types with their children, then simple types, schema by
+    # schema); nameless declarations are not read.
+    "unreferenced-bad-references": schema_doc(
+        b"""<xsd:schema targetNamespace="http://ex.org/s">
+          <xsd:simpleType name="S1" sawsdl:modelReference="relative#s1"/>
+          <xsd:complexType name="C1" sawsdl:modelReference="http://ex.org/onto#C1 http://ex.org/onto#C2">
+            <xsd:choice><xsd:element name="c" sawsdl:modelReference="bad c"/></xsd:choice>
+            <xsd:sequence>
+              <xsd:element name="b" old:modelReference="bad-b"/>
+              <xsd:element sawsdl:modelReference="nameless-child"/>
+            </xsd:sequence>
+          </xsd:complexType>
+          <xsd:element name="e1" sawsdl:modelReference="not-an-iri">
+            <xsd:complexType sawsdl:modelReference="inline-type-ref"><xsd:all>
+              <xsd:element name="kid" sawsdl:modelReference="kid-ref"/>
+            </xsd:all></xsd:complexType>
+          </xsd:element>
+          <xsd:element sawsdl:modelReference="nameless-element"/>
+          <xsd:complexType sawsdl:modelReference="nameless-type">
+            <xsd:sequence><xsd:element name="z" sawsdl:modelReference="nameless-type-child"/></xsd:sequence>
+          </xsd:complexType>
+          <xsd:element name="e2" sawsdl:modelReference=" "
+                       old:modelReference="old-only"/>
+          <xsd:element name="e3" old:modelReference="old-ref"/>
+          <xsd:simpleType name="S2" sawsdl:modelReference="http://ex.org/onto#S2 x"/>
+        </xsd:schema>
+        <xsd:schema targetNamespace="http://ex.org/t">
+          <xsd:element name="e4" sawsdl:modelReference="second-schema"/>
+        </xsd:schema>""",
+        b"""<wsdl:message name="a"><wsdl:part name="p" type="xsd:string"/></wsdl:message>""",
+        b"""<wsdl:operation name="op"><wsdl:input message="tns:a"/></wsdl:operation>""",
+    ),
+}
+
+
+def described(parsed) -> str:
+    """``repr`` of a parse, services and warnings, with each parameter set
+    in sorted order (a frozenset's own order follows the string hash seed)."""
+    return repr((
+        [(svc.name, svc.domain,
+          [(op.name, sorted(op.inputs, key=repr), sorted(op.outputs, key=repr))
+           for op in svc.operations])
+         for svc in parsed.services],
+        parsed.warnings,
+    ))
+
+
+# Recorded before the schema index held the parsed elements themselves.
+SCHEMA_DIGESTS = {
+    "inline-and-same-name": "1099b766a8e524cf645ac18d11301351accd77ccf319168db157344ca8a7fb62",
+    "named-wrapper": "3887d6de85ea7fc8c5ef599a917420108183ab84df727d0fb372050059dc00af",
+    "qualified-and-by-name": "c411fd2ba2c5efcf1092c8068c2d9be0f3af460df18e93230c311fbab4e48877",
+    "ref-children": "3a6320e01741bdbf0729e68e647c521fc529060913de598b605c89c797671e46",
+    "unreferenced-bad-references": "ee45a6479e412c51d456692d6db6809f5b34de468d341cfd40ac5c9b9d01236c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_CASES))
+def test_schema_resolution_digest(name):
+    parsed = parse_description(SCHEMA_CASES[name], f"{name}.wsdl")
+    assert hashlib.sha256(described(parsed).encode()).hexdigest() == SCHEMA_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
 # Collection loading
 # ---------------------------------------------------------------------------
 
@@ -366,6 +596,22 @@ def test_json_round_trip(tmp_path):
     assert again == coll
     # and the dump itself is stable
     assert collection_to_json(again) == collection_to_json(coll)
+
+
+DUMP = {"schema": corpus.COLLECTION_SCHEMA, "services": [
+    {"name": "s", "operations": [{"name": "op", "inputs": [{"name": "x"}]}]}]}
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {**DUMP, "services": [{"operations": []}]},
+    {**DUMP, "services": 5},
+    {**DUMP, "services": [{"name": "s", "operations": [{"name": "op", "inputs": [{"name": ""}]}]}]},
+], ids=["list", "service-without-name", "services-not-a-list", "empty-parameter-name"])
+def test_malformed_collection_dump_is_a_corpus_error(doc):
+    assert collection_from_json(json.dumps(DUMP)).services[0].operations[0].inputs
+    with pytest.raises(CorpusError, match="invalid collection dump: "):
+        collection_from_json(json.dumps(doc))
 
 
 def test_parameter_desc_validation():

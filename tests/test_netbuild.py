@@ -194,6 +194,12 @@ def test_graphml_round_trip_preserves_everything(fig1_collection):
     assert read_domains == domains
 
 
+def test_graphml_domain_keeps_its_carriage_returns():
+    domains = {"a": "x\ry", "b": "\r\n\t"}
+    text = export_network(make_net([("a", "b")]), "graphml", domains=domains)
+    assert read_graphml(text)[1] == domains
+
+
 def test_graphml_keeps_isolated_nodes():
     net = make_net([("a", "b")], nodes=["a", "b", "lonely"])
     again, _ = read_graphml(export_network(net, "graphml"))

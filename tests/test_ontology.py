@@ -101,6 +101,25 @@ def test_owl_rdf_id_resolves_against_base():
     assert ("http://base.example/onto#Sub", "http://base.example/onto#Super") in onto.subclass_edges
 
 
+@pytest.mark.parametrize("subject, target", [
+    ('rdf:about=""', f'rdf:resource="{B}"'),
+    ('rdf:ID=""', f'rdf:resource="{B}"'),
+    (f'rdf:about="{A}"', 'rdf:resource=""'),
+], ids=["empty-about", "empty-id", "empty-resource"])
+def test_owl_subclass_axiom_with_an_empty_iri_is_dropped(subject, target):
+    doc = f"""<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+         xmlns:owl="http://www.w3.org/2002/07/owl#">
+  <owl:Class {subject}><rdfs:subClassOf {target}/></owl:Class>
+  <owl:Class rdf:about="{B}"><rdfs:subClassOf rdf:resource="{C}"/></owl:Class>
+</rdf:RDF>
+"""
+    onto = parse_ontology(doc)
+    assert onto.subclass_edges == {(B, C)}
+    assert len(onto.warnings) == 1 and "empty IRI ignored" in onto.warnings[0]
+
+
 FUNCTIONAL_DOC = f"""<?xml version="1.0"?>
 <Ontology xmlns="http://www.w3.org/2002/07/owl#">
   <SubClassOf><Class IRI="{A}"/><Class IRI="{B}"/></SubClassOf>
