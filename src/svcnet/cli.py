@@ -17,7 +17,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +121,7 @@ class AnalysisParams:
     plfit_boot: int
     full: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.seed < 0:
             raise UsageError("--seed must be >= 0")
         if self.walk_length < 1:
@@ -133,24 +133,12 @@ class AnalysisParams:
 def _metric_block(net: InteractionNetwork, params: AnalysisParams, kind_index: int,
                   domains: dict[str, str | None] | None) -> dict:
     dist = distance_report(net)
-    trans = transitivity(net)
-    degrees = degree_report(net, TOP_K)
-
     block = {
         "nodes": net.n_nodes,
         "links": net.n_edges,
-        "average_distance": dist.average_distance,
-        "diameter": dist.diameter,
-        "reachable_ordered_pairs": dist.reachable_ordered_pairs,
-        "unreachable_ordered_pairs": dist.unreachable_ordered_pairs,
-        "transitivity": trans,
-        "degrees": {
-            "in_histogram": [list(x) for x in degrees.in_histogram],
-            "out_histogram": [list(x) for x in degrees.out_histogram],
-            "total_histogram": [list(x) for x in degrees.total_histogram],
-            "hubs": [list(x) for x in degrees.hubs],
-            "authorities": [list(x) for x in degrees.authorities],
-        },
+        **asdict(dist),
+        "transitivity": transitivity(net),
+        "degrees": asdict(degree_report(net, TOP_K)),
     }
 
     if net.n_nodes == 0:
@@ -246,18 +234,22 @@ def analyze_network(
     return section
 
 
-def _options_block(opts: BuildOptions, params: AnalysisParams) -> dict:
+def _report(schema: str, opts: BuildOptions, params: AnalysisParams, **sections) -> dict:
+    """A report: header, options and conventions, then ``sections`` in order."""
     return {
-        "zero_input_targets": opts.zero_input_targets,
-        "reflexive_subsumption": opts.reflexive_subsumption,
-        "walk_length": params.walk_length,
-        "plfit_boot": params.plfit_boot,
-        "er_samples": ER_SAMPLES,
+        "schema": schema,
+        "tool_version": __version__,
+        "seed": params.seed,
+        "options": {
+            "zero_input_targets": opts.zero_input_targets,
+            "reflexive_subsumption": opts.reflexive_subsumption,
+            "walk_length": params.walk_length,
+            "plfit_boot": params.plfit_boot,
+            "er_samples": ER_SAMPLES,
+        },
+        "conventions": CONVENTIONS,
+        **sections,
     }
-
-
-def _report_header(schema: str, seed: int) -> dict:
-    return {"schema": schema, "tool_version": __version__, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -284,25 +276,12 @@ def compare_collection(
         sections = list(pool.map(one, ALL_KINDS))
 
     networks = {kind.value: section for kind, section in zip(ALL_KINDS, sections)}
-    report = _report_header(COMPARE_SCHEMA, params.seed)
-    report["options"] = _options_block(opts, params)
-    report["conventions"] = CONVENTIONS
-    report["collection"] = _collection_block(coll)
-    report["networks"] = networks
-    report["comparison"] = _comparison_block(networks)
-    return report
-
-
-def _collection_block(coll: ServiceCollection) -> dict:
-    stats = collection_stats(coll)
-    return {
-        "services": stats.services,
-        "operations": stats.operations,
-        "parameters": stats.parameters,
-        "annotated_parameters": stats.annotated_parameters,
-        "annotation_coverage": stats.annotation_coverage,
-        "warnings": len(coll.warnings),
-    }
+    return _report(
+        COMPARE_SCHEMA, opts, params,
+        collection={**asdict(collection_stats(coll)), "warnings": len(coll.warnings)},
+        networks=networks,
+        comparison=_comparison_block(networks),
+    )
 
 
 def _comparison_block(networks: dict[str, dict]) -> dict:
@@ -381,16 +360,20 @@ def _load_ontology_arg(path) -> Ontology | None:
     return onto
 
 
-def _load_network_file(
-    path: Path, force_graphml: bool
-) -> tuple[InteractionNetwork, dict[str, str] | None]:
+def _load_network_file(path: Path) -> tuple[InteractionNetwork, dict[str, str] | None]:
+    """GraphML when the text starts with ``<`` (as for ontologies), else an edge list."""
     try:
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    if force_graphml or path.suffix.lower() in (".graphml", ".xml") or text.lstrip().startswith("<"):
+    if text.lstrip("\ufeff \t\r\n").startswith("<"):
         return read_graphml(text)
     return read_edgelist(text), None
+
+
+def _analysis_params(args, full: bool = False) -> AnalysisParams:
+    return AnalysisParams(seed=args.seed, walk_length=args.walk_length,
+                          plfit_boot=args.plfit_boot, full=full)
 
 
 def _build_options(args) -> BuildOptions:
@@ -434,43 +417,34 @@ def cmd_extract(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    params = AnalysisParams(
-        seed=args.seed,
-        walk_length=args.walk_length,
-        plfit_boot=args.plfit_boot,
-        full=args.full,
-    )
-    params.validate()
-
+    params = _analysis_params(args, full=args.full)
     target = Path(args.path)
-    opts = _build_options(args)
     if target.is_dir():
         if not args.matcher:
             raise UsageError("analyzing a collection directory requires --matcher")
         kind, onto = _resolve_build_inputs(args)
         coll = _load_collection_arg(target)
-        net = build_network(coll, kind, onto, opts)
+        net = build_network(coll, kind, onto, _build_options(args))
         domains = coll.domain_of_operation()
     else:
         if not target.exists():
             raise UsageError(f"no such file or directory: {target}")
-        net, domains = _load_network_file(target, args.from_graphml)
-        opts = net.options
+        flags = [f"--{dest.replace('_', '-')}" for dest in
+                 ("matcher", "ontology", "zero_input_targets", "reflexive_subsumption")
+                 if getattr(args, dest)]
+        if flags:
+            raise UsageError(f"{', '.join(flags)} apply to a collection directory, "
+                             f"not to the network file {target}")
+        net, domains = _load_network_file(target)
 
-    section = analyze_network(net, params, domains)
-    report = _report_header(REPORT_SCHEMA, params.seed)
-    report["options"] = _options_block(opts, params)
-    report["conventions"] = CONVENTIONS
-    report["network"] = section
+    report = _report(REPORT_SCHEMA, net.options, params,
+                     network=analyze_network(net, params, domains))
     _write_output(render_report(report), args.output)
     return 0
 
 
 def cmd_compare(args) -> int:
-    params = AnalysisParams(
-        seed=args.seed, walk_length=args.walk_length, plfit_boot=args.plfit_boot
-    )
-    params.validate()
+    params = _analysis_params(args)
     coll = _load_collection_arg(args.collection)
     onto = _load_ontology_arg(args.ontology)
     if onto is None:
@@ -511,7 +485,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_export(args) -> int:
-    net, domains = _load_network_file(Path(args.network), args.from_graphml)
+    net, domains = _load_network_file(Path(args.network))
     text = export_network(net, args.format, domains=domains)
     _write_output(text, args.output)
     return 0
@@ -568,9 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--matcher", help="required when PATH is a directory")
     add_build_flags(p_analyze)
     p_analyze.add_argument(
-        "--from-graphml", action="store_true", help="force GraphML input parsing"
-    )
-    p_analyze.add_argument(
         "--full", action="store_true", help="also report whole-network metrics"
     )
     add_analysis_flags(p_analyze)
@@ -606,9 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="convert a network file between formats")
     p_export.add_argument("network", help="network file (GraphML or edge list)")
     p_export.add_argument("--format", required=True, choices=EXPORT_FORMATS)
-    p_export.add_argument(
-        "--from-graphml", action="store_true", help="force GraphML input parsing"
-    )
     p_export.add_argument("-o", "--output", help="output file (default stdout)")
     p_export.set_defaults(func=cmd_export)
 

@@ -115,12 +115,12 @@ def _walktrap_component(
     if n == 1:
         return DendroTree(leaves=leaves, merges=())
 
-    adj = np.zeros((n, n), dtype=np.float64)
-    adj[a, b] = adj[b, a] = 1.0
-
-    deg = adj.sum(axis=1)
-    trans = adj / deg[:, None]
+    deg = np.bincount(np.concatenate([a, b]), minlength=n)
+    trans = np.zeros((n, n), dtype=np.float64)
+    trans[a, b] = 1.0 / deg[a]
+    trans[b, a] = 1.0 / deg[b]
     walk = np.linalg.matrix_power(trans, t)
+    del trans
     inv_deg = 1.0 / deg
 
     # Community state by local id (leaves 0..n-1, then n+i); prob's keys are live.

@@ -116,6 +116,8 @@ class ServiceCollection:
 
 @dataclass(frozen=True)
 class CollectionStats:
+    """Field order is the report's key order: the CLI renders ``asdict`` of this."""
+
     services: int
     operations: int
     parameters: int

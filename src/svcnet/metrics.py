@@ -33,6 +33,8 @@ class ComponentReport:
 
 @dataclass(frozen=True)
 class DistanceReport:
+    """Field order is the report's key order: the CLI renders ``asdict`` of this."""
+
     average_distance: float | None
     diameter: int | None
     reachable_ordered_pairs: int
@@ -41,6 +43,8 @@ class DistanceReport:
 
 @dataclass(frozen=True)
 class DegreeReport:
+    """Field order is the report's key order: the CLI renders ``asdict`` of this."""
+
     in_histogram: tuple[tuple[int, int], ...]
     out_histogram: tuple[tuple[int, int], ...]
     total_histogram: tuple[tuple[int, int], ...]

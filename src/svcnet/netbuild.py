@@ -389,7 +389,7 @@ def read_edgelist(text: str) -> InteractionNetwork:
     """Parse sorted ``src<TAB>dst`` lines; nodes are the endpoint union."""
     edges = set()
     nodes = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

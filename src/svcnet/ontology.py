@@ -144,7 +144,7 @@ def parse_ontology(text: str, source: str = "<ontology>") -> Ontology:
     if stripped.startswith("<"):
         edges, warnings = _parse_owl_xml(stripped, source)
     else:
-        edges, warnings = _parse_edge_list(text, source)
+        edges, warnings = _parse_edge_list(text.removeprefix("\ufeff"), source)
     return make_ontology(edges, warnings)
 
 

@@ -9,6 +9,7 @@ import pytest
 import svcnet
 from svcnet.cli import main, report_to_csv
 from svcnet.gen import GenSpec, generate, write_collection_tree
+from svcnet.ontology import parse_ontology
 
 FIG1_WSDL = """<?xml version="1.0" encoding="UTF-8"?>
 <wsdl:definitions name="figure1" targetNamespace="http://ex.org/fig1"
@@ -184,13 +185,51 @@ def test_analyze_graphml_round_trip_matches_directory_analysis(capsys, fig1_dir,
     code, _, _ = run(capsys, "extract", str(fig1_dir), "--matcher", "equal",
                      "-o", str(net_file))
     assert code == 0
-    code, from_file, _ = run(capsys, "analyze", str(net_file), "--from-graphml",
+    code, from_file, _ = run(capsys, "analyze", str(net_file),
                              "--plfit-boot", "0", "--seed", "5")
     assert code == 0
     code, from_dir, _ = run(capsys, "analyze", str(fig1_dir), "--matcher", "equal",
                             "--plfit-boot", "0", "--seed", "5")
     assert code == 0
     assert json.loads(from_file)["network"] == json.loads(from_dir)["network"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--matcher", "plugin"),
+        ("--ontology", "nope.tsv"),
+        ("--zero-input-targets",),
+        ("--reflexive-subsumption",),
+        ("--matcher", "plugin", "--ontology", "nope.tsv"),
+    ],
+    ids=["matcher", "ontology", "zero-input-targets", "reflexive-subsumption", "two"],
+)
+def test_analyze_network_file_refuses_build_flags(capsys, tmp_path, flags):
+    net_file = tmp_path / "net.txt"
+    net_file.write_text("a\tb\n")
+    code, out, err = run(capsys, "analyze", str(net_file), *flags, "--plfit-boot", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+
+
+@pytest.mark.parametrize(
+    "name, named_for_its_format",
+    [("net.xml", "net.edgelist"), ("net.txt", "net.graphml")],
+    ids=["edgelist-as-xml", "graphml-as-txt"],
+)
+def test_network_file_format_comes_from_its_content(capsys, tmp_path, name,
+                                                   named_for_its_format):
+    text = BOM_GRAPHML if named_for_its_format == "net.graphml" else "a\tb\nb\tc\n"
+    reports = []
+    for filename in (name, named_for_its_format):
+        (tmp_path / filename).write_text(text)
+        code, out, err = run(capsys, "analyze", str(tmp_path / filename), "--plfit-boot", "0")
+        assert code == 0, err
+        reports.append(out)
+    assert reports[0] == reports[1]
 
 
 def test_analyze_empty_network_reports_undefined_markers(capsys, tmp_path):
@@ -446,11 +485,10 @@ NOT_UTF8 = b"\xff\xfe"
     "argv, expected_code",
     [
         (("analyze", "{bin}", "--plfit-boot", "0"), 2),
-        (("analyze", "{bin}", "--from-graphml", "--plfit-boot", "0"), 2),
         (("export", "{bin}", "--format", "edgelist"), 2),
         (("compare", "{coll}", "--ontology", "{bin}", "--plfit-boot", "0"), 1),
     ],
-    ids=["analyze", "analyze-graphml", "export", "compare-ontology"],
+    ids=["analyze", "export", "compare-ontology"],
 )
 def test_non_utf8_input_is_an_error_not_a_traceback(capsys, fig1_dir, tmp_path, argv,
                                                      expected_code):
@@ -614,3 +652,15 @@ def test_byte_order_mark_is_not_part_of_the_input(capsys, tmp_path, name, text, 
         assert path.read_bytes().startswith(b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
         results.append(read(capsys, path))
     assert results[0] and results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (lambda text: parse_ontology(text).concepts, "http://x/#A\thttp://x/#B\n"),
+        (lambda text: svcnet.read_edgelist(text).nodes, "a\tb\n"),
+    ],
+    ids=["parse_ontology", "read_edgelist"],
+)
+def test_text_readers_drop_a_leading_byte_order_mark(parse, text):
+    assert parse("\ufeff" + text) == parse(text)
