@@ -2,7 +2,7 @@
 
 Reports are canonical JSON with a fixed key order, floats rendered to six
 significant digits, and no timestamps, so identical inputs and seed produce
-byte-identical output regardless of the thread cap (``SVCNET_THREADS``).
+byte-identical output.
 The comparison report is the four-matcher property matrix over the giant
 components: nodes, links, average distance, diameter, transitivity,
 communities, modularity, plus the power-law fit and the random-graph
@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -54,7 +53,6 @@ REPORT_SCHEMA = "svcnet-report/1"
 COMPARE_SCHEMA = "svcnet-compare/1"
 ER_SAMPLES = 10
 TOP_K = 10
-DEFAULT_THREADS = 4  # compare's worker cap without SVCNET_THREADS
 
 _KIND_INDEX = {kind: i for i, kind in enumerate(ALL_KINDS)}
 
@@ -73,9 +71,14 @@ CONVENTIONS = {
 
 
 def thread_cap() -> int:
+    """``SVCNET_THREADS`` as a positive integer, 1 when unset.
+
+    ``compare`` runs its four analyses serially and only checks the
+    variable, so a malformed value stays a usage error.
+    """
     raw = os.environ.get("SVCNET_THREADS")
     if not raw:
-        return DEFAULT_THREADS
+        return 1
     try:
         value = int(raw)
     except ValueError:
@@ -263,19 +266,15 @@ def compare_collection(
     opts: BuildOptions,
     params: AnalysisParams,
 ) -> dict:
-    """Build and analyze all four networks; assembly order is fixed."""
+    """Build and analyze all four networks, one after another."""
+    thread_cap()
     domains = coll.domain_of_operation()
     effective_onto = onto if onto is not None else Ontology.empty()
-
-    def one(kind: MatcherKind) -> dict:
-        net = build_network(coll, kind, effective_onto, opts)
-        return analyze_network(net, params, domains)
-
-    workers = min(len(ALL_KINDS), thread_cap())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        sections = list(pool.map(one, ALL_KINDS))
-
-    networks = {kind.value: section for kind, section in zip(ALL_KINDS, sections)}
+    networks = {
+        kind.value: analyze_network(build_network(coll, kind, effective_onto, opts),
+                                    params, domains)
+        for kind in ALL_KINDS
+    }
     return _report(
         COMPARE_SCHEMA, opts, params,
         collection={**asdict(collection_stats(coll)), "warnings": len(coll.warnings)},

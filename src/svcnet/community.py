@@ -25,6 +25,11 @@ import numpy as np
 from .errors import SvcnetError, UsageError
 from .netbuild import InteractionNetwork
 
+# Largest weak component Walktrap takes.  Its dense float64 transition and
+# walk matrices and the ``matrix_power`` temporaries hold about 3 x 8 n^2
+# bytes: some 600 MB at this limit.
+WALKTRAP_MAX_NODES = 5000
+
 
 @dataclass(frozen=True)
 class DendroTree:
@@ -112,6 +117,11 @@ def _walktrap_component(
 ) -> DendroTree:
     """Merge tree of one component; ``a``/``b`` are its pairs' local ends."""
     n = len(leaves)
+    if n > WALKTRAP_MAX_NODES:
+        raise UsageError(
+            f"walktrap takes components of at most {WALKTRAP_MAX_NODES} nodes "
+            f"(its dense walk matrices need about 24 bytes x n^2); this one has {n}"
+        )
     if n == 1:
         return DendroTree(leaves=leaves, merges=())
 

@@ -361,6 +361,17 @@ def test_invalid_threads_env_is_usage_error(capsys, gen_dir, monkeypatch):
     assert "SVCNET_THREADS" in err
 
 
+def test_component_above_the_walktrap_limit_is_usage_error(capsys, gen_dir, monkeypatch):
+    from svcnet import community
+
+    monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 3)
+    code, out, err = run(capsys, "analyze", str(gen_dir), "--matcher", "equal",
+                         "--plfit-boot", "0")
+    assert code == 2
+    assert out == ""
+    assert "at most 3 nodes" in err
+
+
 def test_compare_without_ontology_warns(capsys, gen_dir):
     code, out, err = run(capsys, "compare", str(gen_dir), "--plfit-boot", "0")
     assert code == 0

@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_net, modularity_by_counting, undirected
+from svcnet import community
 from svcnet.community import (
     Dendrogram,
     DendroTree,
@@ -84,6 +86,23 @@ def test_walktrap_usage_errors(two_triangle_bridge):
         walktrap(two_triangle_bridge, walk_length=0)
     with pytest.raises(UsageError):
         walktrap(InteractionNetwork(nodes=(), edges=frozenset()))
+
+
+def test_walktrap_refuses_a_component_above_the_node_limit(two_triangle_bridge, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the walk matrix was built before the size check")
+
+    monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 5)
+    monkeypatch.setattr(np.linalg, "matrix_power", no_walk)
+    with pytest.raises(UsageError, match=r"at most 5 nodes.*this one has 6"):
+        walktrap(two_triangle_bridge)
+
+
+def test_walktrap_node_limit_is_per_component(monkeypatch):
+    # Two 3-node components: 6 nodes in all, each tree at the limit.
+    monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 3)
+    net = undirected([("a0", "a1"), ("a1", "a2"), ("b0", "b1"), ("b1", "b2")])
+    assert [len(tree.merges) for tree in walktrap(net).trees] == [2, 2]
 
 
 def test_connected_graph_has_n_minus_1_merges(k4):

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
 )
 from svcnet.errors import UsageError
 from svcnet.metrics import (
+    _distance_totals,
     degree_report,
     distance_report,
     er_baseline,
@@ -85,6 +87,58 @@ def test_empty_network_distance_report():
     assert report.average_distance is None and report.diameter is None
 
 
+def naive_distance_totals(n: int, src, dst) -> tuple[int, int, int]:
+    """Reachable ordered pairs, distance sum and diameter by one BFS per source."""
+    out = [[] for _ in range(n)]
+    for u, v in zip(src, dst):
+        out[u].append(v)
+    pairs = total = diameter = 0
+    for s in range(n):
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in out[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        pairs += len(dist) - 1
+        total += sum(dist.values())
+        diameter = max(diameter, max(dist.values()))
+    return pairs, total, diameter
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_distance_kernel_matches_per_source_bfs_across_word_sizes(n):
+    # A directed cycle plus random chords: sources and targets fill whole
+    # 64-bit words, partial last words and exactly one word.
+    rng = np.random.default_rng(n)
+    chords = 2 * n
+    src = np.concatenate((np.arange(n), rng.integers(0, n, chords)))
+    dst = np.concatenate(((np.arange(n) + 1) % n, rng.integers(0, n, chords)))
+    assert _distance_totals(n, src, dst) == naive_distance_totals(n, src.tolist(), dst.tolist())
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 130])
+def test_distance_kernel_on_an_edgeless_graph(n):
+    empty = np.zeros(0, dtype=np.int64)
+    assert _distance_totals(n, empty, empty) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_distance_kernel_matches_per_source_bfs_on_random_digraphs(seed):
+    # Links are drawn with replacement, so some repeat and some are
+    # self-loops; neither may change the totals.
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(2, 200))
+    m = int(rng.integers(0, 4 * n))
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    if m:
+        src[0] = dst[0]
+        src, dst = np.concatenate((src, src[:m // 3])), np.concatenate((dst, dst[:m // 3]))
+    assert _distance_totals(n, src, dst) == naive_distance_totals(n, src.tolist(), dst.tolist())
+
+
 # ---------------------------------------------------------------------------
 # Transitivity
 # ---------------------------------------------------------------------------
@@ -114,6 +168,29 @@ def test_transitivity_matches_brute_force_counts():
         assert 0.0 <= value <= 1.0
         if triples:
             assert (value == 1.0) == (3 * triangles == triples)
+
+
+def _word_straddling_graphs():
+    """Undirected graphs on 130 nodes whose triangles and neighbour rows cross
+    the 64-bit word boundaries at nodes 63/64 and 127/128."""
+    ids = [f"v{i:03d}" for i in range(130)]
+    fixed = [(62, 63), (63, 64), (62, 64), (63, 65), (64, 65), (0, 64), (64, 128),
+             (0, 128), (127, 128), (126, 127), (126, 128), (1, 129), (65, 129)]
+    yield undirected({(ids[a], ids[b]) for a, b in fixed})
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        yield undirected({
+            (ids[a], ids[b])
+            for a in range(130) for b in range(a + 1, 130)
+            if rng.random() < 0.08 or (abs(a - 64) < 3 and abs(b - 64) < 6)
+        })
+
+
+@pytest.mark.parametrize("net", list(_word_straddling_graphs()))
+def test_transitivity_counts_triangles_across_word_boundaries(net):
+    triangles, triples = count_triangles_and_triples(net)
+    assert triangles > 0
+    assert transitivity(net) == 3 * triangles / triples
 
 
 def test_transitivity_collapses_direction():
