@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import ServiceCollection, collection_stats, load_collection
-from .community import best_partition, domain_overlap, walktrap
+from .community import best_partition, check_walktrap_limit, domain_overlap, walktrap
 from .errors import DegenerateInputError, SvcnetError, UsageError
 from .gen import GenSpec, generate, write_collection_tree
 from .matcher import ALL_KINDS, MatcherKind
@@ -216,6 +216,7 @@ def analyze_network(
     domains: dict[str, str | None] | None = None,
 ) -> dict:
     """Trim isolates, take the giant component, compute the full metric suite."""
+    _check_walktrap_limit(net)
     kind_index = _KIND_INDEX.get(net.kind, 0)
     trimmed, iso_fraction = trim_isolates(net)
     components = weak_components(trimmed)
@@ -235,6 +236,13 @@ def analyze_network(
     if params.full:
         section["full_network"] = _metric_block(net, params, kind_index, domains)
     return section
+
+
+def _check_walktrap_limit(net: InteractionNetwork) -> None:
+    """Refuse ``net`` before any metric runs if its largest weak component,
+    which is the giant's size, is above Walktrap's limit."""
+    if net.n_nodes:
+        check_walktrap_limit(int(np.bincount(net.view.component).max()))
 
 
 def _report(schema: str, opts: BuildOptions, params: AnalysisParams, **sections) -> dict:
@@ -266,15 +274,15 @@ def compare_collection(
     opts: BuildOptions,
     params: AnalysisParams,
 ) -> dict:
-    """Build and analyze all four networks, one after another."""
+    """Build and check all four networks, then analyze them one after another."""
     thread_cap()
     domains = coll.domain_of_operation()
     effective_onto = onto if onto is not None else Ontology.empty()
-    networks = {
-        kind.value: analyze_network(build_network(coll, kind, effective_onto, opts),
-                                    params, domains)
-        for kind in ALL_KINDS
-    }
+    built = [build_network(coll, kind, effective_onto, opts) for kind in ALL_KINDS]
+    for net in built:
+        _check_walktrap_limit(net)
+    networks = {kind.value: analyze_network(net, params, domains)
+                for kind, net in zip(ALL_KINDS, built)}
     return _report(
         COMPARE_SCHEMA, opts, params,
         collection={**asdict(collection_stats(coll)), "warnings": len(coll.warnings)},

@@ -5,10 +5,11 @@ interaction network, read with its weak components from the network's cached
 integer view (:attr:`InteractionNetwork.view`).  Walktrap measures distances
 between nodes through t-step random-walk transition probabilities and
 agglomerates adjacent communities with the Ward-style merge that minimizes
-the increase in squared walk distances.  Disconnected inputs are processed
-per weak component, giving a forest of dendrograms; the best partition is the
+the increase in squared walk distances, read from a dense matrix of the
+merge costs of adjacent communities.  Disconnected inputs are processed per
+weak component, giving a forest of dendrograms; the best partition is the
 modularity-maximal cut, scanned per tree (modularity is additive over
-components).  Both count the links between communities in one shared table.
+components), which counts the links between communities in a link table.
 
 Merge-cost ties break by smallest leaf index, which is smallest member node id
 since leaves are sorted, so runs are reproducible.
@@ -16,7 +17,6 @@ since leaves are sorted, so runs are reproducible.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 
@@ -25,9 +25,10 @@ import numpy as np
 from .errors import SvcnetError, UsageError
 from .netbuild import InteractionNetwork
 
-# Largest weak component Walktrap takes.  Its dense float64 transition and
-# walk matrices and the ``matrix_power`` temporaries hold about 3 x 8 n^2
-# bytes: some 600 MB at this limit.
+# Largest weak component Walktrap takes.  Its peak is ``matrix_power``'s: the
+# dense float64 transition and walk matrices and a temporary, about 3 x 8 n^2
+# bytes (some 600 MB at this limit).  The merges then hold the walk and cost
+# matrices, 16 n^2 bytes.
 WALKTRAP_MAX_NODES = 5000
 
 
@@ -112,16 +113,29 @@ def walktrap(net: InteractionNetwork, walk_length: int = 4) -> Dendrogram:
     return Dendrogram(trees=tuple(trees))
 
 
+def check_walktrap_limit(n_nodes: int) -> None:
+    """Refuse a component of ``n_nodes`` above :data:`WALKTRAP_MAX_NODES`."""
+    if n_nodes > WALKTRAP_MAX_NODES:
+        raise UsageError(
+            f"walktrap takes components of at most {WALKTRAP_MAX_NODES} nodes "
+            f"(its walk matrix power peaks at about 24 bytes x n^2, and its merges "
+            f"hold 16 bytes x n^2); this one has {n_nodes}"
+        )
+
+
 def _walktrap_component(
     leaves: tuple[str, ...], a: np.ndarray, b: np.ndarray, t: int
 ) -> DendroTree:
-    """Merge tree of one component; ``a``/``b`` are its pairs' local ends."""
+    """Merge tree of one component; ``a``/``b`` are its pairs' local ends.
+
+    A live community keeps the walk row of its smallest leaf, so row order is
+    the tie-break order.  Among live rows, ``cost`` holds the merge cost of
+    each adjacent pair (``inf`` elsewhere) and ``rowmin`` each row's least
+    cost, so the next merge is the first least row minimum with its first
+    least partner: the order of a heap of ``(cost, first leaf, first leaf)``.
+    """
     n = len(leaves)
-    if n > WALKTRAP_MAX_NODES:
-        raise UsageError(
-            f"walktrap takes components of at most {WALKTRAP_MAX_NODES} nodes "
-            f"(its dense walk matrices need about 24 bytes x n^2); this one has {n}"
-        )
+    check_walktrap_limit(n)
     if n == 1:
         return DendroTree(leaves=leaves, merges=())
 
@@ -133,42 +147,59 @@ def _walktrap_component(
     del trans
     inv_deg = 1.0 / deg
 
-    # Community state by local id (leaves 0..n-1, then n+i); prob's keys are live.
-    size = [1] * n
-    first = list(range(n))
-    prob: dict[int, np.ndarray] = {i: walk[i] for i in range(n)}
-    links = _link_table(n, a, b)
+    # Per row: the community's size and local id (leaves 0..n-1, then n+i).
+    size = np.ones(n, dtype=np.int64)
+    ids = list(range(n))
 
-    def heap_entry(c1: int, c2: int) -> tuple:
-        if first[c2] < first[c1]:
-            c1, c2 = c2, c1
-        diff = prob[c1] - prob[c2]
-        s1, s2 = size[c1], size[c2]
-        cost = (s1 * s2 / (s1 + s2)) * float((diff * diff * inv_deg).sum()) / n
-        return (cost, first[c1], first[c2], c1, c2)
+    def costs(row: int, others: np.ndarray) -> np.ndarray:
+        diff = walk[others]
+        diff -= walk[row]
+        diff *= diff
+        diff *= inv_deg
+        s, s_other = size[row], size[others]
+        return s * s_other / (s + s_other) * diff.sum(axis=1) / n
 
-    # Entries are unique and totally ordered, so the pops do not depend on the
-    # order of the pushes.
-    heap = [heap_entry(i, j) for i, j in zip(a.tolist(), b.tolist())]
-    heapq.heapify(heap)
+    # Each leaf's costs to its higher neighbours; the pairs come sorted, a < b.
+    cost = np.full((n, n), np.inf)
+    starts = np.searchsorted(a, np.arange(n + 1)).tolist()
+    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        if lo < hi:
+            cost[i, b[lo:hi]] = cost[b[lo:hi], i] = costs(i, b[lo:hi])
+    rowmin = cost.min(axis=1)
 
     merges: list[tuple[int, int, float]] = []
     sigma = 0.0
-    while len(merges) < n - 1:
-        cost, _, _, c1, c2 = heapq.heappop(heap)
-        if c1 not in prob or c2 not in prob:
-            continue
-        new = n + len(merges)
-        sigma += cost
-        merges.append((c1, c2, sigma))
+    for new in range(n, 2 * n - 1):
+        r1 = int(rowmin.argmin())
+        r2 = int(cost[r1].argmin())
+        sigma += float(cost[r1, r2])
+        merges.append((ids[r1], ids[r2], sigma))
 
-        s1, s2 = size[c1], size[c2]
-        prob[new] = (s1 * prob.pop(c1) + s2 * prob.pop(c2)) / (s1 + s2)
-        size.append(s1 + s2)
-        first.append(min(first[c1], first[c2]))
-        _merge_links(links, c1, c2, new)
-        for other in links[new]:
-            heapq.heappush(heap, heap_entry(new, other))
+        # The merged community's neighbours, and each one's least cost to r1
+        # or r2.
+        nearest = np.minimum(cost[r1], cost[r2])
+        nearest[r1] = nearest[r2] = np.inf
+        others = (nearest < np.inf).nonzero()[0]
+
+        # r1's row becomes the merged community's; r2's is never read again.
+        s1, s2 = size[r1], size[r2]
+        row = walk[r1]
+        row *= s1
+        row += s2 * walk[r2]
+        row /= s1 + s2
+        size[r1] = s1 + s2
+        ids[r1] = new
+        cost[:, r2] = rowmin[r2] = np.inf
+
+        merged = costs(r1, others)
+        cost[r1, others] = cost[others, r1] = merged
+        rowmin[r1] = merged.min(initial=np.inf)
+        # A neighbour whose least cost was to r1 or r2, and is not now to the
+        # merged community, rescans its row.
+        best = np.minimum(rowmin[others], merged)
+        rowmin[others] = best
+        rescan = others[best == nearest[others]]
+        rowmin[rescan] = cost[rescan].min(axis=1)
     return DendroTree(leaves=leaves, merges=tuple(merges))
 
 

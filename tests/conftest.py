@@ -1,10 +1,12 @@
 """Shared fixtures: analytic graphs, the worked three-operation example, and
 independent oracles (Floyd-Warshall distances, naive pairwise network build,
 brute-force triangle and modularity counters, a power-law sampler on scipy's
-Hurwitz zeta), and a text-mutation strategy for fuzzing the readers."""
+Hurwitz zeta, a heap-driven Walktrap), and a text-mutation strategy for
+fuzzing the readers."""
 
 from __future__ import annotations
 
+import heapq
 import re
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
+from svcnet.community import DendroTree
 from svcnet.corpus import (
     OperationDesc,
     ParameterDesc,
@@ -178,6 +181,65 @@ def oracle_power_law_sample(alpha: float, xmin: int, size: int, seed: int) -> np
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid + 1)
     return lo
+
+
+def reference_walktrap_component(
+    leaves: tuple[str, ...], a: np.ndarray, b: np.ndarray, t: int
+) -> DendroTree:
+    """Walktrap merge tree of one component from a heap of merge costs, one
+    entry per adjacent pair, popped in ``(cost, first leaf, first leaf)``
+    order; stale entries of merged communities are skipped.
+
+    Same signature and operation order as ``community._walktrap_component``,
+    so the two agree bit for bit.
+    """
+    n = len(leaves)
+    if n == 1:
+        return DendroTree(leaves=leaves, merges=())
+    deg = np.bincount(np.concatenate([a, b]), minlength=n)
+    trans = np.zeros((n, n), dtype=np.float64)
+    trans[a, b] = 1.0 / deg[a]
+    trans[b, a] = 1.0 / deg[b]
+    walk = np.linalg.matrix_power(trans, t)
+    inv_deg = 1.0 / deg
+
+    size = [1] * n
+    first = list(range(n))
+    prob = {i: walk[i] for i in range(n)}
+    neighbours: dict[int, set[int]] = {i: set() for i in range(n)}
+    for i, j in zip(a.tolist(), b.tolist()):
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+
+    def heap_entry(c1: int, c2: int) -> tuple:
+        if first[c2] < first[c1]:
+            c1, c2 = c2, c1
+        diff = prob[c1] - prob[c2]
+        s1, s2 = size[c1], size[c2]
+        cost = (s1 * s2 / (s1 + s2)) * float((diff * diff * inv_deg).sum()) / n
+        return (cost, first[c1], first[c2], c1, c2)
+
+    heap = [heap_entry(i, j) for i, j in zip(a.tolist(), b.tolist())]
+    heapq.heapify(heap)
+    merges = []
+    sigma = 0.0
+    while len(merges) < n - 1:
+        cost, _, _, c1, c2 = heapq.heappop(heap)
+        if c1 not in prob or c2 not in prob:
+            continue
+        new = n + len(merges)
+        sigma += cost
+        merges.append((c1, c2, sigma))
+        s1, s2 = size[c1], size[c2]
+        prob[new] = (s1 * prob.pop(c1) + s2 * prob.pop(c2)) / (s1 + s2)
+        size.append(s1 + s2)
+        first.append(min(first[c1], first[c2]))
+        neighbours[new] = (neighbours.pop(c1) | neighbours.pop(c2)) - {c1, c2}
+        for other in neighbours[new]:
+            neighbours[other] -= {c1, c2}
+            neighbours[other].add(new)
+            heapq.heappush(heap, heap_entry(new, other))
+    return DendroTree(leaves=leaves, merges=tuple(merges))
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,27 @@ def test_component_above_the_walktrap_limit_is_usage_error(capsys, gen_dir, monk
     assert "at most 3 nodes" in err
 
 
+def no_metrics(*args):
+    raise AssertionError("a metric ran before the walktrap limit was checked")
+
+
+@pytest.mark.parametrize("argv", [("analyze", "{gen}", "--matcher", "plugin"),
+                                  ("analyze", "{gen}", "--matcher", "plugin", "--full"),
+                                  ("compare", "{gen}")])
+def test_walktrap_limit_is_checked_before_any_metric(capsys, gen_dir, monkeypatch, argv):
+    # gen_dir's equal and exact giants have 9 nodes, its plugin and subsume
+    # giants 10: compare refuses before it analyzes equal.
+    from svcnet import cli, community
+
+    monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 9)
+    monkeypatch.setattr(cli, "distance_report", no_metrics)
+    code, out, err = run(capsys, *(arg.format(gen=gen_dir) for arg in argv),
+                         "--ontology", str(gen_dir / "ontology.tsv"), "--plfit-boot", "0")
+    assert code == 2
+    assert out == ""
+    assert "at most 9 nodes" in err and "this one has 10" in err
+
+
 def test_compare_without_ontology_warns(capsys, gen_dir):
     code, out, err = run(capsys, "compare", str(gen_dir), "--plfit-boot", "0")
     assert code == 0
@@ -382,17 +403,22 @@ def test_compare_without_ontology_warns(capsys, gen_dir):
     assert "plugin" in report["comparison"]["empty_networks"]
 
 
-def test_library_warnings_print_as_warning_lines(gen_dir):
-    # Run as a process so stderr is what a user sees, not pytest's capture.
+# What the ``svcnet`` console script runs: its entry point, ``svcnet.cli:main``.
+CONSOLE_SCRIPT = [sys.executable, "-c", "import sys; from svcnet.cli import main; sys.exit(main())"]
+
+
+def run_process(argv: list[str], cwd=None) -> subprocess.CompletedProcess:
+    """Run ``argv`` as a process that imports this checkout's svcnet."""
     env = dict(os.environ)
     src = str(Path(svcnet.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from svcnet.cli import main; sys.exit(main())",
-         "compare", str(gen_dir), "--ontology", str(gen_dir / "ontology.tsv"),
-         "--plfit-boot", "20"],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=cwd, check=False)
+
+
+def test_library_warnings_print_as_warning_lines(gen_dir):
+    # Run as a process so stderr is what a user sees, not pytest's capture.
+    proc = run_process(CONSOLE_SCRIPT + ["compare", str(gen_dir), "--ontology",
+                                         str(gen_dir / "ontology.tsv"), "--plfit-boot", "20"])
     assert proc.returncode == 0
     lines = proc.stderr.splitlines()
     assert lines.count(
@@ -400,6 +426,21 @@ def test_library_warnings_print_as_warning_lines(gen_dir):
     ) == 1
     assert all(line.startswith("warning: ") for line in lines)
     assert "UserWarning" not in proc.stderr and "plfit.py" not in proc.stderr
+
+
+def test_python_dash_m_matches_the_console_script(tmp_path):
+    commands = (["gen", "corpus", "--seed", "0"],
+                ["compare", "corpus", "--ontology", "corpus/ontology.tsv", "--plfit-boot", "0"])
+    module = [sys.executable, "-m", "svcnet"]
+    results = {}
+    for name, launcher in (("script", CONSOLE_SCRIPT), ("module", module)):
+        (tmp_path / name).mkdir()
+        procs = [run_process(launcher + argv, cwd=tmp_path / name) for argv in commands]
+        results[name] = [(proc.returncode, proc.stdout, proc.stderr) for proc in procs]
+    assert results["module"] == results["script"]
+    (gen_code, _, _), (compare_code, report, _) = results["module"]
+    assert gen_code == compare_code == 0
+    assert json.loads(report)["schema"] == "svcnet-compare/1"
 
 
 def test_report_floats_carry_six_significant_digits(capsys, tmp_path):

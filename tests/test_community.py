@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_net, modularity_by_counting, undirected
+from conftest import make_net, modularity_by_counting, reference_walktrap_component, undirected
 from svcnet import community
 from svcnet.community import (
     Dendrogram,
@@ -165,6 +165,72 @@ def test_tied_merge_costs_dendrogram_digests(name):
     make, digest = TIED_DENDROGRAMS[name]
     text = dendrogram_to_json(walktrap(make()))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def random_network(seed: int) -> InteractionNetwork:
+    """A directed graph on 2..120 nodes, often disconnected: random density,
+    reciprocal links and isolated nodes, ids in an order unrelated to the
+    links."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 121))
+    ids = [f"v{k:03d}" for k in rng.permutation(n)]
+    m = int(rng.integers(1, 3 * n + 1))
+    src, dst = rng.integers(0, n, size=(2, m))
+    edges = {(ids[i], ids[j]) for i, j in zip(src.tolist(), dst.tolist()) if i != j}
+    return make_net(edges, nodes=ids)
+
+
+def cycle(k: int) -> list[tuple[str, str]]:
+    return [(f"c{i:02d}", f"c{(i + 1) % k:02d}") for i in range(k)]
+
+
+def clique(k: int) -> list[tuple[str, str]]:
+    return [(f"q{i:02d}", f"q{j:02d}") for i in range(k) for j in range(i + 1, k)]
+
+
+def star(k: int) -> list[tuple[str, str]]:
+    return [("hub", f"s{i:02d}") for i in range(k)]
+
+
+def grid(rows: int, cols: int) -> list[tuple[str, str]]:
+    cell = [[f"g{i:02d}{j:02d}" for j in range(cols)] for i in range(rows)]
+    return ([(cell[i][j], cell[i][j + 1]) for i in range(rows) for j in range(cols - 1)]
+            + [(cell[i][j], cell[i + 1][j]) for i in range(rows - 1) for j in range(cols)])
+
+
+def bipartite(p: int, q: int) -> list[tuple[str, str]]:
+    return [(f"l{i:02d}", f"r{j:02d}") for i in range(p) for j in range(q)]
+
+
+# Regular graphs, where many merge costs tie exactly.
+TIE_GRAPHS = {
+    "cycle3": cycle(3), "cycle8": cycle(8), "cycle31": cycle(31),
+    "clique2": clique(2), "clique7": clique(7), "clique16": clique(16),
+    "star1": star(1), "star6": star(6), "star40": star(40),
+    "grid1x5": grid(1, 5), "grid3x3": grid(3, 3), "grid5x8": grid(5, 8),
+    "bipartite1x4": bipartite(1, 4), "bipartite3x3": bipartite(3, 3),
+    "bipartite4x9": bipartite(4, 9),
+}
+
+
+def assert_matches_heap_reference(net: InteractionNetwork, monkeypatch) -> None:
+    for t in (1, 2, 4):
+        got = dendrogram_to_json(walktrap(net, t))
+        with monkeypatch.context() as patch:
+            patch.setattr(community, "_walktrap_component", reference_walktrap_component)
+            want = dendrogram_to_json(walktrap(net, t))
+        assert got == want, f"walk length {t}"
+
+
+@pytest.mark.parametrize("first_seed", range(0, 150, 30))
+def test_walktrap_matches_the_heap_reference_on_random_graphs(first_seed, monkeypatch):
+    for seed in range(first_seed, first_seed + 30):
+        assert_matches_heap_reference(random_network(seed), monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(TIE_GRAPHS))
+def test_walktrap_matches_the_heap_reference_on_tied_graphs(name, monkeypatch):
+    assert_matches_heap_reference(undirected(TIE_GRAPHS[name]), monkeypatch)
 
 
 # ---------------------------------------------------------------------------
