@@ -105,6 +105,7 @@ def walktrap(net: InteractionNetwork, walk_length: int = 4) -> Dendrogram:
     view = net.view
     # One tree per weak component, in label order, i.e. by smallest member id.
     _, sizes = np.unique(view.component, return_counts=True)
+    check_walktrap_limit(int(sizes.max()))
     blocks = np.split(np.argsort(view.component, kind="stable"), np.cumsum(sizes)[:-1])
     trees = [
         _walktrap_component(tuple(net.ids[i] for i in block.tolist()), a, b, walk_length)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .corpus import (
     ServiceDesc,
 )
 from .errors import SvcnetError
-from .netbuild import InteractionNetwork
+from .netbuild import InteractionNetwork, quoteattr
 from .ontology import Ontology, make_ontology
 
 

@@ -16,11 +16,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from .corpus import ParameterDesc, ServiceCollection
+from .corpus import ServiceCollection
 from .errors import SvcnetError, UsageError
 from .matcher import MatcherKind
 from .ontology import Ontology
@@ -199,36 +198,42 @@ def build_network(
             if key is not None:
                 producers.setdefault(key, set()).add(i)
 
-    def candidates(p: ParameterDesc) -> set[int]:
-        if kind is MatcherKind.EQUAL:
-            return producers.get(p.name, set())
-        if p.concept is None:
+    def producers_of(key: str | None) -> set[int]:
+        """The operations with an output that matches an input of this key."""
+        if key is None:
             return set()
-        if kind is MatcherKind.EXACT:
-            return producers.get(p.concept, set())
-        keys = (onto.descendants if kind is MatcherKind.PLUGIN else onto.ancestors)(p.concept)
+        if kind in (MatcherKind.EQUAL, MatcherKind.EXACT):
+            return producers.get(key, set())
+        keys = (onto.descendants if kind is MatcherKind.PLUGIN else onto.ancestors)(key)
         if opts.reflexive_subsumption:
-            keys = keys | {p.concept}
-        return set().union(*(producers.get(key, ()) for key in keys))
+            keys = keys | {key}
+        return set().union(*(producers.get(k, ()) for k in keys))
 
+    # An input matches by its name under equal, by its concept otherwise, so
+    # each key's producers are gathered once.
+    candidates: dict[str | None, set[int]] = {}
     src: list[int] = []
-    dst: list[int] = []
+    n_feeders = [0] * len(ops)  # links into each operation, whose sources extend src
     for j, op in enumerate(ops):
         feeders = set(range(len(ops))) if not op.inputs and opts.zero_input_targets else None
         for p in op.inputs:
-            cand = candidates(p)
-            # copy: candidates() may hand back an index set, and feeders is
-            # mutated below
+            key = p.name if kind is MatcherKind.EQUAL else p.concept
+            cand = candidates.get(key)
+            if cand is None:
+                cand = candidates[key] = producers_of(key)
+            # copy: the candidate sets are shared, and feeders is mutated below
             feeders = set(cand) if feeders is None else feeders & cand
             if not feeders:
                 break
         if feeders:
             feeders.discard(j)
             src.extend(feeders)
-            dst.extend([j] * len(feeders))
+            n_feeders[j] = len(feeders)
 
-    links = np.array([src, dst], dtype=np.int64)
-    return InteractionNetwork._from_links(ids, *links[:, np.lexsort(links[::-1])], kind, opts)
+    # One sort of the src * n + dst keys puts the links in (src, dst) order.
+    n = len(ops)
+    keys = np.array(src, dtype=np.int64) * n + np.repeat(np.arange(n), n_feeders)
+    return InteractionNetwork._from_links(ids, *np.divmod(np.sort(keys), max(n, 1)), kind, opts)
 
 
 def trim_isolates(net: InteractionNetwork) -> tuple[InteractionNetwork, float]:
@@ -278,6 +283,31 @@ def _edgelist_line(src: str, dst: str) -> str:
         raise SvcnetError(f"link ({src!r}, {dst!r}) cannot be written as an edge-list "
                           "line; export GraphML instead")
     return line + "\n"
+
+
+# Line breaks and tabs in an attribute value would be read back as spaces.
+_ATTRIBUTE_ENTITIES = {"\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
+
+
+def escape(text: str, entities: dict[str, str] | None = None) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped, then each key of
+    ``entities`` replaced by its value, as ``xml.sax.saxutils.escape`` does."""
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    for key, value in (entities or {}).items():
+        text = text.replace(key, value)
+    return text
+
+
+def quoteattr(text: str) -> str:
+    """``text`` escaped and quoted as an attribute value, as
+    ``xml.sax.saxutils.quoteattr`` does: in double quotes, or in single quotes
+    when it holds a double quote but no single one."""
+    text = escape(text, _ATTRIBUTE_ENTITIES)
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _to_graphml(net: InteractionNetwork, domains: dict[str, str | None] | None) -> str:

@@ -1,23 +1,34 @@
 """Shared fixtures: analytic graphs, the worked three-operation example, and
 independent oracles (Floyd-Warshall distances, naive pairwise network build,
 brute-force triangle and modularity counters, a power-law sampler on scipy's
-Hurwitz zeta, a heap-driven Walktrap), and a text-mutation strategy for
-fuzzing the readers."""
+Hurwitz zeta, a heap-driven Walktrap, the WSDL parse that resolves every
+reference where it is used), and a text-mutation strategy for fuzzing the
+readers."""
 
 from __future__ import annotations
 
 import heapq
+import io
 import re
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
+from svcnet import corpus
 from svcnet.community import DendroTree
 from svcnet.corpus import (
+    SAWSDL_NS,
+    SAWSDL_NS_OLD,
+    WSDL_NS,
+    XSD_NS,
+    CorpusError,
     OperationDesc,
     ParameterDesc,
+    ParsedDescription,
     ServiceCollection,
     ServiceDesc,
 )
@@ -240,6 +251,289 @@ def reference_walktrap_component(
             neighbours[other].add(new)
             heapq.heappush(heap, heap_entry(new, other))
     return DendroTree(leaves=leaves, merges=tuple(merges))
+
+
+# ---------------------------------------------------------------------------
+# Reference WSDL parse
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_description(data: bytes, source: str = "<document>") -> ParsedDescription:
+    """``corpus.parse_description`` before the pull parser, the QName memo and
+    the shared parameters: one ``iterparse`` pass, then every QName split and
+    every parameter built again wherever it is used.  It gives the same
+    warnings, in the same order, and equal parameters."""
+    # The tree drops the prefixes that QName attribute values use, so the
+    # same pass collects them; a prefix bound twice keeps its first binding.
+    # An unknown or multi-byte encoding named in the XML declaration raises
+    # LookupError or ValueError rather than ParseError.
+    nsmap: dict[str, str] = {}
+    events = ET.iterparse(io.BytesIO(data), events=("start-ns",))
+    try:
+        for _, (prefix, uri) in events:
+            nsmap.setdefault(prefix, uri)
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        raise CorpusError(f"{source}: malformed XML: {exc}") from exc
+    return _reference_describe(events.root, nsmap, source)
+
+
+def _reference_describe(root: ET.Element, nsmap: dict[str, str], source: str) -> ParsedDescription:
+    """The services of one parsed document; ``nsmap`` maps its prefixes to URIs."""
+    if root.tag != f"{{{WSDL_NS}}}definitions":
+        raise CorpusError(f"{source}: not a WSDL 1.1 document (root {root.tag})")
+
+    warnings: list[str] = []
+    doc = _ReferenceDocumentIndex(root, nsmap, source, warnings)
+
+    service_name = doc.service_name()
+    ops: list[OperationDesc] = []
+    seen_ops: set[str] = set()
+    for pt in root.findall(f"{{{WSDL_NS}}}portType"):
+        for op_el in pt.findall(f"{{{WSDL_NS}}}operation"):
+            op_name = op_el.get("name")
+            if not op_name:
+                warnings.append(f"{source}: unnamed operation skipped")
+                continue
+            if op_name in seen_ops:
+                warnings.append(f"{source}: duplicate operation {op_name!r} kept once")
+                continue
+            seen_ops.add(op_name)
+            inputs = doc.message_params(op_el.find(f"{{{WSDL_NS}}}input"), op_name)
+            outputs = doc.message_params(op_el.find(f"{{{WSDL_NS}}}output"), op_name)
+            if not inputs and not outputs:
+                warnings.append(
+                    f"{source}: operation {op_name!r} has neither inputs nor outputs"
+                )
+            ops.append(
+                OperationDesc(
+                    service=service_name,
+                    name=op_name,
+                    inputs=frozenset(inputs),
+                    outputs=frozenset(outputs),
+                )
+            )
+
+    svc = ServiceDesc(name=service_name, domain=None, operations=tuple(ops))
+    return ParsedDescription(services=(svc,), warnings=tuple(warnings))
+
+
+def _reference_model_reference(el: ET.Element, source: str, warnings: list[str]) -> str | None:
+    raw = el.get(f"{{{SAWSDL_NS}}}modelReference")
+    if raw is None:
+        raw = el.get(f"{{{SAWSDL_NS_OLD}}}modelReference")
+    if raw is None:
+        return None
+    iris = raw.split()
+    if not iris:
+        return None
+    if len(iris) > 1:
+        warnings.append(
+            f"{source}: modelReference lists {len(iris)} IRIs; keeping the first ({iris[0]})"
+        )
+    if not corpus._is_absolute_iri(iris[0]):
+        warnings.append(f"{source}: modelReference {iris[0]!r} is not an absolute IRI; dropped")
+        return None
+    return iris[0]
+
+
+class _ReferenceDocumentIndex:
+    """Schema, message and service lookups local to one WSDL document.
+
+    The schema tables hold the parsed ``xsd:element``, ``xsd:complexType``
+    and ``xsd:simpleType`` declarations themselves, keyed by (target
+    namespace, name) and, first declaration wins, by name alone.
+    """
+
+    def __init__(self, root: ET.Element, nsmap: dict[str, str], source: str,
+                 warnings: list[str]) -> None:
+        self.root = root
+        self.nsmap = nsmap
+        self.source = source
+        self.warnings = warnings
+        self.elements: dict[tuple[str, str], ET.Element] = {}
+        self.elements_by_name: dict[str, ET.Element] = {}
+        self.types: dict[tuple[str, str], ET.Element] = {}
+        self.types_by_name: dict[str, ET.Element] = {}
+        # Every scanned declaration and wrapper child -> its modelReference.
+        self.concepts: dict[ET.Element, str | None] = {}
+        # Each element (None without an inline complexType) and complexType
+        # -> its wrapper children.
+        self.children: dict[ET.Element, list[ET.Element] | None] = {}
+        self.messages: dict[str, list[ET.Element]] = {}  # name -> its <part>s
+        self._scan_schemas()
+        self._scan_messages()
+
+    # -- scanning ----------------------------------------------------------
+
+    def _scan_schemas(self) -> None:
+        types_el = self.root.find(f"{{{WSDL_NS}}}types")
+        if types_el is None:
+            return
+        tables = (
+            ("element", self.elements, self.elements_by_name),
+            ("complexType", self.types, self.types_by_name),
+            ("simpleType", self.types, self.types_by_name),
+        )
+        for schema in types_el.iter(f"{{{XSD_NS}}}schema"):
+            tns = schema.get("targetNamespace", "")
+            for tag, table, by_name in tables:
+                for decl in schema.findall(f"{{{XSD_NS}}}{tag}"):
+                    name = decl.get("name")
+                    if not name:
+                        continue
+                    self.concepts[decl] = _reference_model_reference(decl, self.source,
+                                                                     self.warnings)
+                    if tag == "element":
+                        inline = decl.find(f"{{{XSD_NS}}}complexType")
+                        self.children[decl] = None if inline is None else self._wrapped(inline)
+                    elif tag == "complexType":
+                        self.children[decl] = self._wrapped(decl)
+                    table[(tns, name)] = decl
+                    by_name.setdefault(name, decl)
+
+    def _wrapped(self, ct: ET.Element) -> list[ET.Element]:
+        """The child elements of a complexType's sequence, all and choice, in
+        that order; each one's concept is recorded as it is listed."""
+        children: list[ET.Element] = []
+        for group_tag in ("sequence", "all", "choice"):
+            group = ct.find(f"{{{XSD_NS}}}{group_tag}")
+            if group is not None:
+                children.extend(group.findall(f"{{{XSD_NS}}}element"))
+        for child in children:
+            self.concepts[child] = _reference_model_reference(child, self.source, self.warnings)
+        return children
+
+    def _scan_messages(self) -> None:
+        for msg in self.root.findall(f"{{{WSDL_NS}}}message"):
+            name = msg.get("name")
+            if not name:
+                continue
+            self.messages.setdefault(name, msg.findall(f"{{{WSDL_NS}}}part"))
+
+    # -- lookups -----------------------------------------------------------
+
+    def service_name(self) -> str:
+        services = self.root.findall(f"{{{WSDL_NS}}}service")
+        if services:
+            if len(services) > 1:
+                self.warnings.append(
+                    f"{self.source}: multiple service elements; using the first"
+                )
+            name = services[0].get("name")
+            if name:
+                return name
+        name = self.root.get("name")
+        if name:
+            return name
+        stem = Path(self.source).stem
+        return stem or "service"
+
+    def _split_qname(self, raw: str) -> tuple[str | None, str]:
+        if ":" in raw:
+            prefix, local = raw.split(":", 1)
+            return self.nsmap.get(prefix), local
+        return self.nsmap.get(""), raw
+
+    def _find(self, table: dict[tuple[str, str], ET.Element],
+              by_name: dict[str, ET.Element], raw: str) -> ET.Element | None:
+        ns, local = self._split_qname(raw)
+        if ns is not None and (ns, local) in table:
+            return table[(ns, local)]
+        return by_name.get(local)
+
+    def _named_type(self, raw: str | None) -> ET.Element | None:
+        """The declared type ``raw`` names; a built-in XSD type has none."""
+        if raw is None or self._split_qname(raw)[0] == XSD_NS:
+            return None
+        return self._find(self.types, self.types_by_name, raw)
+
+    def _param(self, name: str, type_raw: str | None, concept: str | None) -> ParameterDesc:
+        """A leaf parameter; without a concept of its own it takes its named type's."""
+        if concept is None:
+            decl = self._named_type(type_raw)
+            concept = None if decl is None else self.concepts[decl]
+        return ParameterDesc(name=name, xsd_type=type_raw, concept=concept)
+
+    def _leaf(self, el: ET.Element) -> ParameterDesc:
+        return self._param(el.get("name"), el.get("type"), self.concepts[el])
+
+    def _unresolved(self, what: str, raw: str) -> ParameterDesc:
+        """A reference to no declared element: a bare parameter named by its local part."""
+        _, local = self._split_qname(raw)
+        if not local:
+            raise CorpusError(f"{self.source}: {what} {raw!r} has no local name")
+        self.warnings.append(
+            f"{self.source}: {what} {raw!r}; parameter kept without type or concept"
+        )
+        return ParameterDesc(name=local)
+
+    # -- flattening --------------------------------------------------------
+
+    def message_params(self, io_el: ET.Element | None, op_name: str) -> list[ParameterDesc]:
+        if io_el is None:
+            return []
+        msg_raw = io_el.get("message")
+        if not msg_raw:
+            self.warnings.append(f"{self.source}: {op_name}: input/output without message")
+            return []
+        _, msg_local = self._split_qname(msg_raw)
+        parts = self.messages.get(msg_local)
+        if parts is None:
+            self.warnings.append(f"{self.source}: {op_name}: unknown message {msg_raw!r}")
+            return []
+        params: list[ParameterDesc] = []
+        for part in parts:
+            params.extend(self._part_params(part, op_name))
+        return _reference_dedupe_params(params)
+
+    def _part_params(self, part: ET.Element, op_name: str) -> list[ParameterDesc]:
+        element_raw = part.get("element")
+        if element_raw:
+            el = self._find(self.elements, self.elements_by_name, element_raw)
+            if el is None:
+                return [self._unresolved(f"{op_name}: unresolved element", element_raw)]
+            return self._element_params(el)
+        name = part.get("name")
+        type_raw = part.get("type")
+        if type_raw:
+            return [self._param(name or "part", type_raw, None)]
+        if name:
+            self.warnings.append(
+                f"{self.source}: {op_name}: part {name!r} has neither element nor type"
+            )
+            return [ParameterDesc(name=name)]
+        return []
+
+    def _element_params(self, el: ET.Element) -> list[ParameterDesc]:
+        children = self.children[el]
+        if children is None:
+            children = self.children.get(self._named_type(el.get("type")))
+        if not children:
+            return [self._leaf(el)]
+        # Complex wrapper: each top-level child element is one parameter.
+        params = []
+        for child in children:
+            ref = child.get("ref")
+            if ref:
+                target = self._find(self.elements, self.elements_by_name, ref)
+                if target is None:
+                    params.append(self._unresolved("unresolved element ref", ref))
+                else:
+                    params.append(self._leaf(target))
+            elif child.get("name"):
+                params.append(self._leaf(child))
+        return params
+
+
+def _reference_dedupe_params(params: list[ParameterDesc]) -> list[ParameterDesc]:
+    seen: set[tuple[str, str | None]] = set()
+    out: list[ParameterDesc] = []
+    for p in params:
+        key = (p.name, p.concept)
+        if key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -407,9 +407,10 @@ def test_compare_without_ontology_warns(capsys, gen_dir):
 CONSOLE_SCRIPT = [sys.executable, "-c", "import sys; from svcnet.cli import main; sys.exit(main())"]
 
 
-def run_process(argv: list[str], cwd=None) -> subprocess.CompletedProcess:
-    """Run ``argv`` as a process that imports this checkout's svcnet."""
-    env = dict(os.environ)
+def run_process(argv: list[str], cwd=None, **env_vars: str) -> subprocess.CompletedProcess:
+    """Run ``argv`` as a process that imports this checkout's svcnet, with
+    ``env_vars`` added to its environment."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(svcnet.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=cwd, check=False)
@@ -441,6 +442,36 @@ def test_python_dash_m_matches_the_console_script(tmp_path):
     (gen_code, _, _), (compare_code, report, _) = results["module"]
     assert gen_code == compare_code == 0
     assert json.loads(report)["schema"] == "svcnet-compare/1"
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # Equal parameters are shared objects and each match key's producers a
+    # shared set; neither may let set order reach a written file.
+    commands = (
+        ["gen", "corpus", "--seed", "0"],
+        ["extract", "corpus", "--matcher", "subsume", "--ontology", "corpus/ontology.tsv",
+         "--format", "graphml", "-o", "network.graphml"],
+        ["compare", "corpus", "--ontology", "corpus/ontology.tsv", "--plfit-boot", "0",
+         "-o", "report.json"],
+    )
+    written = {}
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        for argv in commands:
+            proc = run_process(CONSOLE_SCRIPT + argv, cwd=cwd, PYTHONHASHSEED=hash_seed)
+            assert proc.returncode == 0, proc.stderr
+        written[hash_seed] = [(cwd / name).read_bytes()
+                              for name in ("network.graphml", "report.json")]
+    assert written["0"] == written["1"]
+
+
+def test_cli_import_leaves_out_xml_sax_and_urllib_request():
+    # xml.sax.saxutils pulls in urllib.request, http.client and email.
+    code = "import sys, svcnet.cli; print([m for m in ('xml.sax', 'urllib.request') " \
+           "if m in sys.modules])"
+    proc = run_process([sys.executable, "-c", code])
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_report_floats_carry_six_significant_digits(capsys, tmp_path):

@@ -98,6 +98,20 @@ def test_walktrap_refuses_a_component_above_the_node_limit(two_triangle_bridge, 
         walktrap(two_triangle_bridge)
 
 
+def test_walktrap_refuses_an_over_limit_component_before_building_any_tree(monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("a tree was built before the size check")
+
+    monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 5)
+    monkeypatch.setattr(community, "_walktrap_component", no_tree)
+    monkeypatch.setattr(np.linalg, "matrix_power", no_tree)
+    # The 4-node component comes first in label order.
+    net = undirected([(f"a{i}", f"a{i + 1}") for i in range(3)]
+                     + [(f"b{i}", f"b{i + 1}") for i in range(6)])
+    with pytest.raises(UsageError, match=r"at most 5 nodes.*this one has 7"):
+        walktrap(net)
+
+
 def test_walktrap_node_limit_is_per_component(monkeypatch):
     # Two 3-node components: 6 nodes in all, each tree at the limit.
     monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 3)

@@ -1,14 +1,14 @@
 import hashlib
-import io
 import json
 import re
-import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_parse_description
 from svcnet import corpus
+from svcnet.cli import main
 from svcnet.corpus import (
     CorpusError,
     ParameterDesc,
@@ -631,30 +631,37 @@ def test_concept_iri_with_unicode_whitespace_is_rejected(space):
 
 
 # ---------------------------------------------------------------------------
-# Fuzzing against the two-pass parse
+# Differential tests against the reference parse
 # ---------------------------------------------------------------------------
 
 
-def two_pass_parse(data: bytes, source: str):
-    """Reference front end: ``ET.fromstring`` for the tree, then a second
-    expat pass over the same bytes for the namespace prefixes."""
+def parse_outcome(parse, data: bytes) -> str:
+    """The parse as :func:`described` shows it, warnings included, or the
+    CorpusError's message; any other exception propagates and fails the test."""
     try:
-        root = ET.fromstring(data)
-    except (ET.ParseError, LookupError, ValueError) as exc:
-        raise CorpusError(f"{source}: malformed XML: {exc}") from exc
-    nsmap = {}
-    for _, (prefix, uri) in ET.iterparse(io.BytesIO(data), events=("start-ns",)):
-        nsmap.setdefault(prefix, uri)
-    return corpus._describe(root, nsmap, source)
-
-
-def parse_outcome(parse, data: bytes):
-    """The parsed description, or the CorpusError's message; any other
-    exception propagates and fails the test."""
-    try:
-        return parse(data, "fuzz.wsdl")
+        return described(parse(data, "fuzz.wsdl"))
     except CorpusError as exc:
         return f"CorpusError: {exc}"
+
+
+# ``svcnet gen`` arguments of the benchmark's corpora; analyze-plugin reads
+# graph-large's.
+BENCH_CORPORA = {
+    "boot-small": [],
+    "graph-large": ["--services", "200", "--domains", "6", "--cross-domain-rate", "0.1"],
+    "extract-large": ["--services", "1500", "--domains", "8", "--cross-domain-rate", "0.1"],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 104729])
+@pytest.mark.parametrize("workload", sorted(BENCH_CORPORA))
+def test_bench_corpus_loads_as_the_reference(workload, seed, tmp_path, monkeypatch):
+    assert main(["gen", str(tmp_path), *BENCH_CORPORA[workload], "--seed", str(seed)]) == 0
+    coll = load_collection(tmp_path)
+    monkeypatch.setattr(corpus, "parse_description", reference_parse_description)
+    reference = load_collection(tmp_path)
+    assert collection_to_json(coll) == collection_to_json(reference)
+    assert coll == reference
 
 
 # expat reads iterparse input 16 KiB at a time, so one seed spans two reads.
@@ -741,11 +748,13 @@ def entity_wsdl(draw) -> bytes:
 
 @settings(max_examples=200, deadline=None)
 @given(mutated_wsdl())
-def test_mutated_wsdl_parses_as_the_two_pass_reference(data):
-    assert parse_outcome(parse_description, data) == parse_outcome(two_pass_parse, data)
+def test_mutated_wsdl_parses_as_the_reference(data):
+    assert (parse_outcome(parse_description, data)
+            == parse_outcome(reference_parse_description, data))
 
 
 @settings(max_examples=150, deadline=None)
 @given(entity_wsdl())
-def test_entity_laden_wsdl_parses_as_the_two_pass_reference(data):
-    assert parse_outcome(parse_description, data) == parse_outcome(two_pass_parse, data)
+def test_entity_laden_wsdl_parses_as_the_reference(data):
+    assert (parse_outcome(parse_description, data)
+            == parse_outcome(reference_parse_description, data))

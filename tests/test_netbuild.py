@@ -1,4 +1,5 @@
 import dataclasses
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,9 @@ from svcnet.netbuild import (
     BuildOptions,
     InteractionNetwork,
     build_network,
+    escape,
     export_network,
+    quoteattr,
     read_edgelist,
     read_graphml,
     trim_isolates,
@@ -70,6 +73,14 @@ def test_node_count_identical_across_kinds():
     assert counts == {len(coll.operations())}
 
 
+def naive_network(coll, kind, onto, opts) -> InteractionNetwork:
+    """The double loop's links as a network: the constructor sorts them, so
+    equality also checks the built network's link order."""
+    ids = [op.op_id for op in coll.operations()]
+    return InteractionNetwork(nodes=ids, edges=naive_build(coll, kind, onto, opts),
+                              kind=kind, options=opts)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("reflexive", [False, True])
 def test_index_build_equals_naive_double_loop(kind, reflexive):
@@ -88,8 +99,7 @@ def test_index_build_equals_naive_double_loop(kind, reflexive):
         )
     )
     opts = BuildOptions(reflexive_subsumption=reflexive)
-    net = build_network(coll, kind, onto, opts)
-    assert net.edges == naive_build(coll, kind, onto, opts)
+    assert build_network(coll, kind, onto, opts) == naive_network(coll, kind, onto, opts)
 
 
 def test_index_build_equals_naive_with_zero_input_targets():
@@ -97,8 +107,7 @@ def test_index_build_equals_naive_with_zero_input_targets():
     coll, onto, _ = generate(spec)
     opts = BuildOptions(zero_input_targets=True)
     for kind in ALL_KINDS:
-        net = build_network(coll, kind, onto, opts)
-        assert net.edges == naive_build(coll, kind, onto, opts)
+        assert build_network(coll, kind, onto, opts) == naive_network(coll, kind, onto, opts)
 
 
 def test_plugin_subsume_converse_on_single_parameter_operations():
@@ -198,6 +207,22 @@ def test_graphml_domain_keeps_its_carriage_returns():
     domains = {"a": "x\ry", "b": "\r\n\t"}
     text = export_network(make_net([("a", "b")]), "graphml", domains=domains)
     assert read_graphml(text)[1] == domains
+
+
+XML_TEXT = st.text(st.sampled_from("&<>\"'\n\r\t ;#xé")
+                   | st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@given(XML_TEXT, st.dictionaries(st.text("\r\"'ab&", min_size=1, max_size=2),
+                                 st.text("&#;13x", max_size=5), max_size=3))
+def test_escape_writes_the_bytes_of_saxutils(text, entities):
+    assert escape(text, entities) == saxutils.escape(text, entities)
+    assert escape(text) == saxutils.escape(text)
+
+
+@given(XML_TEXT)
+def test_quoteattr_writes_the_bytes_of_saxutils(text):
+    assert quoteattr(text) == saxutils.quoteattr(text)
 
 
 def test_graphml_keeps_isolated_nodes():
