@@ -15,7 +15,9 @@ fraction of replicate KS distances at least as large as the observed one.
 A p-value below 0.1 is reported as rejecting the power law.
 
 The bootstrap works in batches.  One CDF table serves every replicate of a
-``gof_pvalue`` call, each replicate is still drawn from its own
+``gof_pvalue`` call and grows as the draws need it: for an exponent near 2
+its full length is 2^21 entries, but the draws rarely read past the first
+few thousand.  Each replicate is still drawn from its own
 ``SeedSequence([seed, r])`` stream, and a chunk of replicates is refit at
 once: one golden-section search over every candidate cutoff of the chunk,
 and one flat Hurwitz-zeta evaluation for all of its KS distances.
@@ -104,17 +106,25 @@ def _zeta(s: np.ndarray, a: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
 
 
 def _zeta_tail(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin tail: integral term plus Bernoulli corrections."""
+    """Euler-Maclaurin tail: integral term plus Bernoulli corrections.
+
+    Each correction's numerator xs * s * (s + 1) * ... extends the previous
+    one, multiplied in the same left-to-right order as written out in full.
+    """
     xs = x ** (-s)
     total = xs * x / (s - 1.0)
     total += xs / 2.0
-    total += xs * s / (12.0 * x)
-    total -= xs * s * (s + 1) * (s + 2) / (720.0 * x**3)
-    total += xs * s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / (30240.0 * x**5)
-    total -= (
-        xs * s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * (s + 5) * (s + 6)
-        / (1209600.0 * x**7)
-    )
+    num = xs * s
+    total += num / (12.0 * x)
+    num *= s + 1
+    num *= s + 2
+    total -= num / (720.0 * x**3)
+    num *= s + 3
+    num *= s + 4
+    total += num / (30240.0 * x**5)
+    num *= s + 5
+    num *= s + 6
+    total -= num / (1209600.0 * x**7)
     return total
 
 
@@ -239,21 +249,23 @@ def _mle_alphas(
     """Vector golden-section maximization of the tail log-likelihood.
 
     L(alpha) = -n ln zeta(alpha, xmin) - alpha * sum(ln x) is concave in
-    alpha, so golden section converges to the global maximum.
+    alpha, so golden section converges to the global maximum.  Each step
+    evaluates both probes in one zeta call over the candidates listed twice;
+    zeta works element by element, so the bits are those of two calls.
     """
-
-    def neg_ll(alpha: np.ndarray) -> np.ndarray:
-        return n_tails * np.log(_zeta(alpha, xmins, pairwise)) + alpha * log_sums
-
-    lo = np.full(xmins.shape, _ALPHA_LO)
-    hi = np.full(xmins.shape, _ALPHA_HI)
+    m = xmins.size
+    xmins, n_tails, log_sums, pairwise = (
+        np.tile(arr, 2) for arr in (xmins, n_tails, log_sums, pairwise)
+    )
+    lo = np.full(m, _ALPHA_LO)
+    hi = np.full(m, _ALPHA_HI)
     for _ in range(_GOLDEN_ITER):
         span = (hi - lo) * _GOLDEN
-        x1 = hi - span
-        x2 = lo + span
-        keep_low = neg_ll(x1) < neg_ll(x2)
-        hi = np.where(keep_low, x2, hi)
-        lo = np.where(keep_low, lo, x1)
+        probes = np.concatenate([hi - span, lo + span])  # x1, then x2
+        neg_ll = n_tails * np.log(_zeta(probes, xmins, pairwise)) + probes * log_sums
+        keep_low = neg_ll[:m] < neg_ll[m:]
+        hi = np.where(keep_low, probes[m:], hi)
+        lo = np.where(keep_low, lo, probes[:m])
     return (lo + hi) / 2.0
 
 
@@ -280,44 +292,64 @@ def sample_power_law(
 ) -> np.ndarray:
     """Exact inverse-CDF draws from the discrete power law at (alpha, xmin).
 
-    Quantiles inside a precomputed table are resolved by binary search; the
-    rare draws beyond it fall back to an exact doubling-plus-bisection search
-    on the survival function.  A draw of 2^63 or more, which exponents up to
-    about 1.15 produce, raises :class:`DegenerateInputError`.
+    Quantiles inside a CDF table, grown as far as the draws reach, are
+    resolved by binary search; the rare draws beyond its full length fall
+    back to an exact doubling-plus-bisection search on the survival function.
+    A draw of 2^63 or more, which exponents up to about 1.15 produce, raises
+    :class:`DegenerateInputError`.
     """
-    return _draw(*_power_law_table(alpha, xmin), alpha, xmin, size, rng)
+    return _PowerLawTable(alpha, xmin).draw(size, rng)
 
 
-def _power_law_table(alpha: float, xmin: int) -> tuple[np.ndarray, float]:
-    """CDF table from xmin up to a 1e-9 survival (at most 2^21 entries), and zeta(alpha, xmin)."""
-    if alpha <= 1.0:
-        raise UsageError("alpha must exceed 1")
-    if xmin < 1:
-        raise UsageError("xmin must be >= 1")
-    z_xmin = hurwitz_zeta(alpha, float(xmin))
-    length = 1024
-    while (
-        hurwitz_zeta(alpha, float(xmin + length)) / z_xmin > _TABLE_TAIL_EPS
-        and length < _TABLE_MAX
-    ):
-        length *= 2
-    cdf = np.arange(xmin, xmin + length, dtype=np.float64)
-    np.power(cdf, -alpha, out=cdf)
-    np.cumsum(cdf, out=cdf)
-    cdf /= z_xmin
-    return cdf, z_xmin
+class _PowerLawTable:
+    """CDF of the power law at (alpha, xmin), computed only as far as draws read.
 
+    The full length is fixed up front: 1024 entries, doubled while the
+    survival past the table is above 1e-9, up to 2^21.  The first 1024
+    entries are computed at once; the computed part doubles when a draw
+    falls above its last entry.  A new block starts from the running sum of
+    the unscaled terms and is accumulated in order, so every entry has the
+    bits of one cumulative sum over the full length.
+    """
 
-def _draw(
-    cdf: np.ndarray, z_xmin: float, alpha: float, xmin: int, size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    u = rng.random(size)
-    idx = np.searchsorted(cdf, u, side="left")
-    out = xmin + idx
-    for pos in np.flatnonzero(idx >= cdf.size):
-        out[pos] = _tail_quantile(alpha, xmin, float(u[pos]), z_xmin)
-    return out.astype(np.int64)
+    def __init__(self, alpha: float, xmin: int) -> None:
+        if alpha <= 1.0:
+            raise UsageError("alpha must exceed 1")
+        if xmin < 1:
+            raise UsageError("xmin must be >= 1")
+        self.alpha = alpha
+        self.xmin = xmin
+        self.z_xmin = hurwitz_zeta(alpha, float(xmin))
+        length = 1024
+        while (
+            hurwitz_zeta(alpha, float(xmin + length)) / self.z_xmin > _TABLE_TAIL_EPS
+            and length < _TABLE_MAX
+        ):
+            length *= 2
+        self.length = length
+        self.cdf = np.empty(0)
+        self._sum = 0.0  # sum of the unscaled terms in ``cdf``
+        self._grow(1024)
+
+    def _grow(self, stop: int) -> None:
+        block = np.arange(self.xmin + self.cdf.size, self.xmin + stop, dtype=np.float64)
+        np.power(block, -self.alpha, out=block)
+        block[0] += self._sum
+        np.cumsum(block, out=block)
+        self._sum = float(block[-1])
+        block /= self.z_xmin
+        self.cdf = np.concatenate([self.cdf, block])
+
+    def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random(size)
+        top = u.max(initial=0.0)
+        while self.cdf[-1] < top and self.cdf.size < self.length:
+            self._grow(min(2 * self.cdf.size, self.length))
+        idx = np.searchsorted(self.cdf, u, side="left")
+        out = self.xmin + idx
+        for pos in np.flatnonzero(idx >= self.length):
+            out[pos] = _tail_quantile(self.alpha, self.xmin, float(u[pos]), self.z_xmin)
+        return out.astype(np.int64)
 
 
 # Draws are int64; an exponent near 1 puts some quantiles past this.
@@ -380,7 +412,7 @@ def gof_pvalue(
     n = data.size
     body = data[data < fit.xmin]
     p_tail = fit.n_tail / n
-    table = _power_law_table(fit.alpha, fit.xmin)
+    table = _PowerLawTable(fit.alpha, fit.xmin)
 
     exceed = 0
     values: list[np.ndarray] = []
@@ -400,7 +432,7 @@ def gof_pvalue(
 
 def _replicate(
     fit: PowerLawFit, body: np.ndarray, n: int, p_tail: float,
-    table: tuple[np.ndarray, float], rng: np.random.Generator,
+    table: _PowerLawTable, rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values and counts of one replicate drawn from ``rng``."""
     for _ in range(100):
@@ -408,7 +440,7 @@ def _replicate(
         k = int(from_tail.sum())
         draws = np.empty(n, dtype=np.int64)
         if k:
-            draws[:k] = _draw(*table, fit.alpha, fit.xmin, k, rng)
+            draws[:k] = table.draw(k, rng)
         if n - k:
             draws[k:] = body[rng.integers(0, body.size, n - k)]
         values, counts = np.unique(draws, return_counts=True)

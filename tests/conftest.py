@@ -1,9 +1,9 @@
 """Shared fixtures: analytic graphs, the worked three-operation example, and
 independent oracles (Floyd-Warshall distances, naive pairwise network build,
 brute-force triangle and modularity counters, a power-law sampler on scipy's
-Hurwitz zeta, a heap-driven Walktrap, the WSDL parse that resolves every
-reference where it is used), and a text-mutation strategy for fuzzing the
-readers."""
+Hurwitz zeta, the eager power-law sampling table and zeta tail formula, a
+heap-driven Walktrap, the WSDL parse that resolves every reference where it
+is used), and a text-mutation strategy for fuzzing the readers."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
-from svcnet import corpus
+from svcnet import corpus, plfit
 from svcnet.community import DendroTree
 from svcnet.corpus import (
     SAWSDL_NS,
@@ -32,6 +32,7 @@ from svcnet.corpus import (
     ServiceCollection,
     ServiceDesc,
 )
+from svcnet.errors import UsageError
 from svcnet.matcher import MatcherKind, match_params
 from svcnet.netbuild import BuildOptions, InteractionNetwork
 
@@ -192,6 +193,54 @@ def oracle_power_law_sample(alpha: float, xmin: int, size: int, seed: int) -> np
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid + 1)
     return lo
+
+
+def reference_power_law_table(alpha: float, xmin: int) -> tuple[np.ndarray, float]:
+    """The eager sampling table: every entry of the CDF from xmin up to a
+    1e-9 survival (at most 2^21 entries) in one cumulative sum, and
+    zeta(alpha, xmin)."""
+    if alpha <= 1.0:
+        raise UsageError("alpha must exceed 1")
+    if xmin < 1:
+        raise UsageError("xmin must be >= 1")
+    z_xmin = plfit.hurwitz_zeta(alpha, float(xmin))
+    length = 1024
+    while plfit.hurwitz_zeta(alpha, float(xmin + length)) / z_xmin > 1e-9 and length < 1 << 21:
+        length *= 2
+    cdf = np.arange(xmin, xmin + length, dtype=np.float64)
+    np.power(cdf, -alpha, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= z_xmin
+    return cdf, z_xmin
+
+
+def reference_draw(
+    cdf: np.ndarray, z_xmin: float, alpha: float, xmin: int, size: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Inverse-CDF draws on an eager table; past its end, the exact search."""
+    u = rng.random(size)
+    idx = np.searchsorted(cdf, u, side="left")
+    out = xmin + idx
+    for pos in np.flatnonzero(idx >= cdf.size):
+        out[pos] = plfit._tail_quantile(alpha, xmin, float(u[pos]), z_xmin)
+    return out.astype(np.int64)
+
+
+def reference_zeta_tail(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Euler-Maclaurin tail of the Hurwitz zeta with every Bernoulli
+    correction's numerator written out in full."""
+    xs = x ** (-s)
+    total = xs * x / (s - 1.0)
+    total += xs / 2.0
+    total += xs * s / (12.0 * x)
+    total -= xs * s * (s + 1) * (s + 2) / (720.0 * x**3)
+    total += xs * s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / (30240.0 * x**5)
+    total -= (
+        xs * s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * (s + 5) * (s + 6)
+        / (1209600.0 * x**7)
+    )
+    return total
 
 
 def reference_walktrap_component(

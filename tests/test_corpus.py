@@ -231,6 +231,49 @@ def test_part_with_type_records_raw_qname():
     assert inp.xsd_type == "imported:BookType"
 
 
+# A message with two parts of the same name and concept but different types;
+# the concept is none (built-in types) or a named type's.
+SAME_NAME_PARTS_WSDL = b"""<?xml version="1.0" encoding="UTF-8"?>
+<wsdl:definitions name="Qty" targetNamespace="http://ex.org/q"
+    xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"
+    xmlns:xsd="http://www.w3.org/2001/XMLSchema"
+    xmlns:tns="http://ex.org/q"
+    xmlns:sawsdl="http://www.w3.org/ns/sawsdl">
+  <wsdl:types>
+    <xsd:schema targetNamespace="http://ex.org/q">
+      <xsd:simpleType name="Count" sawsdl:modelReference="http://ex.org/onto#Qty"/>
+      <xsd:simpleType name="Amount" sawsdl:modelReference="http://ex.org/onto#Qty"/>
+    </xsd:schema>
+  </wsdl:types>
+  <wsdl:message name="orderRequest">
+    <wsdl:part name="qty" type="FIRST"/>
+    <wsdl:part name="qty" type="SECOND"/>
+  </wsdl:message>
+  <wsdl:portType name="QtyPortType">
+    <wsdl:operation name="order">
+      <wsdl:input message="tns:orderRequest"/>
+    </wsdl:operation>
+  </wsdl:portType>
+</wsdl:definitions>
+"""
+
+
+@pytest.mark.parametrize(
+    "first, second, concept",
+    [
+        ("xsd:int", "xsd:long", None),
+        ("xsd:long", "xsd:int", None),
+        ("tns:Count", "tns:Amount", "http://ex.org/onto#Qty"),
+        ("tns:Amount", "tns:Count", "http://ex.org/onto#Qty"),
+    ],
+)
+def test_parts_of_one_name_and_concept_keep_the_first_type(first, second, concept):
+    doc = (SAME_NAME_PARTS_WSDL.replace(b"FIRST", first.encode())
+           .replace(b"SECOND", second.encode()))
+    (inp,) = find_op(parse_description(doc, "qty.wsdl"), "order").inputs
+    assert (inp.name, inp.xsd_type, inp.concept) == ("qty", first, concept)
+
+
 # The schema of namespace b rebinds tns, and both schemas declare "item".
 REBOUND_WSDL = b"""<?xml version="1.0" encoding="UTF-8"?>
 <wsdl:definitions name="Rebound" targetNamespace="http://ex.org/a"

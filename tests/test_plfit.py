@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from conftest import oracle_power_law_sample
+from conftest import (
+    oracle_power_law_sample,
+    reference_draw,
+    reference_power_law_table,
+    reference_zeta_tail,
+)
 from svcnet import plfit
 from svcnet.errors import DegenerateInputError, UsageError
 from svcnet.plfit import (
@@ -62,6 +68,17 @@ def test_zeta_sums_each_series_as_a_direct_evaluation_does():
         assert got[:m].tolist() == expected.tolist()
         if m == 1:
             assert hurwitz_zeta(s[0], a[0]) == expected[0]
+
+
+def test_zeta_tail_has_the_bits_of_the_written_out_formula():
+    # Each Bernoulli correction's numerator extends the previous one; it
+    # must multiply in the order the full product is written.
+    rng = np.random.default_rng(8)
+    n = 100_000
+    s = 50.0 - rng.uniform(0.0, 49.0, n)  # in (1, 50]
+    x = np.where(rng.random(n) < 0.5, 10.0 ** rng.uniform(2.0, 7.0, n),
+                 rng.integers(100, 10**7, n, endpoint=True).astype(np.float64))
+    assert plfit._zeta_tail(s, x).tobytes() == reference_zeta_tail(s, x).tobytes()
 
 
 def test_zeta_rejects_bad_domain():
@@ -174,6 +191,34 @@ def test_sampler_validates_parameters():
         sample_power_law(2.0, 0, 5, rng)
 
 
+@pytest.mark.parametrize(
+    "alpha, xmin, length, past_end",
+    [
+        (9.24, 11, 1024, 0),  # the table stops at its first 1024 entries
+        (2.13, 3, 1 << 21, 0),  # the full table is 2^21 entries; draws read a few thousand
+        (1.5, 1, 1 << 21, 3),  # draws past the full table take the exact search
+    ],
+)
+def test_sampler_draws_as_the_eager_table(alpha, xmin, length, past_end):
+    cdf, z_xmin = reference_power_law_table(alpha, xmin)
+    assert cdf.size == length
+    expected = reference_draw(cdf, z_xmin, alpha, xmin, 5000, np.random.default_rng(0))
+    assert np.count_nonzero(expected >= xmin + length) == past_end
+    assert sample_power_law(alpha, xmin, 5000, np.random.default_rng(0)).tolist() == expected.tolist()
+
+    # As the bootstrap uses it: one table, many draws from one stream.
+    table = plfit._PowerLawTable(alpha, xmin)
+    assert (table.length, table.z_xmin) == (length, z_xmin)
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for size in (0, 1, 7, 300, 2000, 40):
+        got = table.draw(size, rng)
+        assert got.tolist() == reference_draw(cdf, z_xmin, alpha, xmin, size, ref_rng).tolist()
+    assert table.cdf.tobytes() == cdf[:table.cdf.size].tobytes()
+    while table.cdf.size < table.length:
+        table._grow(min(2 * table.cdf.size, table.length))
+    assert table.cdf.tobytes() == cdf.tobytes()
+
+
 @pytest.mark.parametrize("alpha", [1.01, 1.05, 1.15])
 def test_sampler_refuses_draws_past_int64(alpha):
     with pytest.raises(DegenerateInputError, match=f"alpha={alpha}"):
@@ -223,6 +268,20 @@ def test_gof_refuses_a_fit_whose_draws_pass_int64():
     fit = PowerLawFit(alpha=1.05, xmin=1, ks=0.1, n_tail=len(samples), zeros_removed=0)
     with pytest.raises(DegenerateInputError, match="alpha=1.05"):
         gof_pvalue(fit, samples, n_boot=100, seed=0)
+
+
+def test_gof_holds_no_full_sampling_table():
+    # An exponent near 2 has a 2^21-entry (16 MiB) table, of which the
+    # draws read a few thousand entries.
+    d = sample_power_law(2.1, 1, 150, np.random.default_rng(5))
+    fit = fit_power_law(d)
+    tracemalloc.start()
+    try:
+        gof_pvalue(fit, d, n_boot=100, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_fit_with_gof_reads_a_one_pass_iterable_once():
