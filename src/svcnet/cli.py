@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -68,24 +67,6 @@ CONVENTIONS = {
     "er_links": "undirected projection edge count",
     "power_law_degrees": "total degrees of the giant component",
 }
-
-
-def thread_cap() -> int:
-    """``SVCNET_THREADS`` as a positive integer, 1 when unset.
-
-    ``compare`` runs its four analyses serially and only checks the
-    variable, so a malformed value stays a usage error.
-    """
-    raw = os.environ.get("SVCNET_THREADS")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"SVCNET_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError("SVCNET_THREADS must be a positive integer")
-    return value
 
 
 def _derived_seed(*parts: int) -> int:
@@ -164,23 +145,13 @@ def _metric_block(net: InteractionNetwork, params: AnalysisParams, kind_index: i
 
     und_m = len(net.view.pairs)
     if net.n_nodes >= 2 and und_m >= 1:
-        er = er_baseline(
+        block["small_world"] = asdict(er_baseline(
             n=net.n_nodes,
             m=und_m,
             samples=ER_SAMPLES,
             seed=_derived_seed(params.seed, kind_index, 1),
             observed_average=dist.average_distance,
-        )
-        block["small_world"] = {
-            "er_nodes": net.n_nodes,
-            "er_links": und_m,
-            "er_estimate": er.er_estimate,
-            "er_sampled_mean": er.er_sampled_mean,
-            "er_sampled_stddev": er.er_sampled_stddev,
-            "ratio_observed_to_sampled": er.ratio,
-            "samples": er.samples,
-            "seed": er.seed,
-        }
+        ))
     else:
         block["small_world"] = None
     return block
@@ -196,18 +167,7 @@ def _power_law_block(net: InteractionNetwork, params: AnalysisParams, kind_index
         )
     except (DegenerateInputError, UsageError) as exc:
         return {"available": False, "reason": str(exc)}
-    return {
-        "available": True,
-        "alpha": fit.alpha,
-        "xmin": fit.xmin,
-        "ks": fit.ks,
-        "n_tail": fit.n_tail,
-        "zeros_removed": fit.zeros_removed,
-        "p_value": fit.p_value,
-        "rejected": fit.rejected,
-        "n_boot": fit.n_boot,
-        "seed": fit.seed,
-    }
+    return {"available": True, **asdict(fit)}
 
 
 def analyze_network(
@@ -215,8 +175,8 @@ def analyze_network(
     params: AnalysisParams,
     domains: dict[str, str | None] | None = None,
 ) -> dict:
-    """Trim isolates, take the giant component, compute the full metric suite."""
-    _check_walktrap_limit(net)
+    """Trim isolates, take the giant component, compute the full metric suite;
+    callers run :func:`_check_walktrap_limit` on ``net`` first."""
     kind_index = _KIND_INDEX.get(net.kind, 0)
     trimmed, iso_fraction = trim_isolates(net)
     components = weak_components(trimmed)
@@ -275,7 +235,6 @@ def compare_collection(
     params: AnalysisParams,
 ) -> dict:
     """Build and check all four networks, then analyze them one after another."""
-    thread_cap()
     domains = coll.domain_of_operation()
     effective_onto = onto if onto is not None else Ontology.empty()
     built = [build_network(coll, kind, effective_onto, opts) for kind in ALL_KINDS]
@@ -444,6 +403,7 @@ def cmd_analyze(args) -> int:
                              f"not to the network file {target}")
         net, domains = _load_network_file(target)
 
+    _check_walktrap_limit(net)
     report = _report(REPORT_SCHEMA, net.options, params,
                      network=analyze_network(net, params, domains))
     _write_output(render_report(report), args.output)

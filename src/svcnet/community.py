@@ -9,7 +9,7 @@ the increase in squared walk distances, read from a dense matrix of the
 merge costs of adjacent communities.  Disconnected inputs are processed per
 weak component, giving a forest of dendrograms; the best partition is the
 modularity-maximal cut, scanned per tree (modularity is additive over
-components), which counts the links between communities in a link table.
+components), which counts the links between communities in a dense matrix.
 
 Merge-cost ties break by smallest leaf index, which is smallest member node id
 since leaves are sorted, so runs are reproducible.
@@ -28,7 +28,7 @@ from .netbuild import InteractionNetwork
 # Largest weak component Walktrap takes.  Its peak is ``matrix_power``'s: the
 # dense float64 transition and walk matrices and a temporary, about 3 x 8 n^2
 # bytes (some 600 MB at this limit).  The merges then hold the walk and cost
-# matrices, 16 n^2 bytes.
+# matrices, 16 n^2 bytes, and the best cut its link counts, 4 n^2 bytes.
 WALKTRAP_MAX_NODES = 5000
 
 
@@ -136,7 +136,6 @@ def _walktrap_component(
     least partner: the order of a heap of ``(cost, first leaf, first leaf)``.
     """
     n = len(leaves)
-    check_walktrap_limit(n)
     if n == 1:
         return DendroTree(leaves=leaves, merges=())
 
@@ -202,32 +201,6 @@ def _walktrap_component(
         rescan = others[best == nearest[others]]
         rowmin[rescan] = cost[rescan].min(axis=1)
     return DendroTree(leaves=leaves, merges=tuple(merges))
-
-
-def _link_table(n: int, a: np.ndarray, b: np.ndarray) -> dict[int, dict[int, int]]:
-    """Links between the communities of a tree's leaves 0..n-1, as
-    ``{community: {neighbour: links}}``; ``a``/``b`` are the pairs' ends."""
-    table: dict[int, dict[int, int]] = {i: {} for i in range(n)}
-    for i, j in zip(a.tolist(), b.tolist()):
-        table[i][j] = table[j][i] = 1
-    return table
-
-
-def _merge_links(table: dict[int, dict[int, int]], c1: int, c2: int, new: int) -> int:
-    """Merge communities ``c1`` and ``c2`` of ``table`` into ``new``; return
-    the number of links between them."""
-    between = table[c1].get(c2, 0)
-    merged: dict[int, int] = {}
-    for source in (c1, c2):
-        for other, count in table.pop(source).items():
-            if other in (c1, c2):
-                continue
-            merged[other] = merged.get(other, 0) + count
-            peer = table[other]
-            del peer[source]
-            peer[new] = peer.get(new, 0) + count
-    table[new] = merged
-    return between
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +275,24 @@ def _best_tree_cut(
     tree: DendroTree, a: np.ndarray, b: np.ndarray, deg: list[int], m: int
 ) -> tuple[list[list[str]], float]:
     """Best cut of one tree; ``a``/``b`` are its pairs' leaf positions and
-    ``deg`` its leaves' undirected degrees."""
+    ``deg`` its leaves' undirected degrees.  ``links`` counts the links between
+    live communities, a merged one in its first part's row, ``row[c]``."""
     n = len(tree.leaves)
-    links = _link_table(n, a, b)
+    links = np.zeros((n, n), dtype=np.int32)  # pair counts stay below 2^31
+    links[a, b] = links[b, a] = 1
+    row = list(range(n))
     sum_deg = list(deg)
 
     gains = [0.0]
     q = 0.0
-    for pos, (c1, c2, _) in enumerate(tree.merges):
-        between = _merge_links(links, c1, c2, n + pos)
+    for c1, c2, _ in tree.merges:
+        r1, r2 = row[c1], row[c2]
+        between = int(links[r1, r2])
+        links[r1] += links[r2]
+        links[r2] = links[:, r2] = 0
+        links[r1, r1] = 0
+        links[:, r1] = links[r1]
+        row.append(r1)
         q += between / m - 2.0 * (sum_deg[c1] / (2 * m)) * (sum_deg[c2] / (2 * m))
         gains.append(q)
         sum_deg.append(sum_deg[c1] + sum_deg[c2])

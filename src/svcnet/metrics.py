@@ -56,10 +56,14 @@ class DegreeReport:
 
 @dataclass(frozen=True)
 class SmallWorldReport:
+    """Field order is the report's key order: the CLI renders ``asdict`` of this."""
+
+    er_nodes: int
+    er_links: int
     er_estimate: float | None
     er_sampled_mean: float | None
     er_sampled_stddev: float | None
-    ratio: float | None
+    ratio_observed_to_sampled: float | None
     samples: int
     seed: int
 
@@ -265,10 +269,12 @@ def er_baseline(
         ratio = observed_average / sampled_mean
 
     return SmallWorldReport(
+        er_nodes=n,
+        er_links=m,
         er_estimate=estimate,
         er_sampled_mean=sampled_mean,
         er_sampled_stddev=sampled_std,
-        ratio=ratio,
+        ratio_observed_to_sampled=ratio,
         samples=samples,
         seed=seed,
     )

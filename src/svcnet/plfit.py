@@ -92,9 +92,11 @@ def _zeta(s: np.ndarray, a: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
     for start in range(0, series_at.size, _SERIES_BLOCK):
         idx = series_at[start:start + _SERIES_BLOCK]
         ss, aa = s[idx], a[idx]
-        # numpy sums the columns of a 2-D array term by term, so the block
-        # gets a spare column of ones: on its own, one column is summed pairwise.
-        terms = np.ones((_SERIES_TERMS, idx.size + 1))
+        # numpy sums the columns of a 2-D array term by term, so the block gets
+        # a spare column (of ones, so that its unused sum is finite): on its
+        # own, one column is summed pairwise.
+        terms = np.empty((_SERIES_TERMS, idx.size + 1))
+        terms[:, -1] = 1.0
         np.add(aa, _TERMS[:, None], out=terms[:, :-1])
         np.power(terms[:, :-1], -ss, out=terms[:, :-1])
         series = terms.sum(axis=0)[:-1]
@@ -130,7 +132,8 @@ def _zeta_tail(s: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerLawFit:
-    """Fit result; bootstrap fields stay None until the goodness test runs."""
+    """Fit result; bootstrap fields stay None until the goodness test runs.
+    Field order is the report's key order: the CLI renders ``asdict`` of this."""
 
     alpha: float
     xmin: int
@@ -139,8 +142,8 @@ class PowerLawFit:
     zeros_removed: int
     p_value: float | None = None
     rejected: bool | None = None
-    seed: int | None = None
     n_boot: int | None = None
+    seed: int | None = None
 
 
 def _clean_samples(samples: Iterable[int]) -> tuple[np.ndarray, int]:

@@ -2,8 +2,9 @@
 independent oracles (Floyd-Warshall distances, naive pairwise network build,
 brute-force triangle and modularity counters, a power-law sampler on scipy's
 Hurwitz zeta, the eager power-law sampling table and zeta tail formula, a
-heap-driven Walktrap, the WSDL parse that resolves every reference where it
-is used), and a text-mutation strategy for fuzzing the readers."""
+heap-driven Walktrap and a link-table best cut, the WSDL parse that resolves
+every reference where it is used), and a text-mutation strategy for fuzzing
+the readers."""
 
 from __future__ import annotations
 
@@ -300,6 +301,48 @@ def reference_walktrap_component(
             neighbours[other].add(new)
             heapq.heappush(heap, heap_entry(new, other))
     return DendroTree(leaves=leaves, merges=tuple(merges))
+
+
+def reference_best_tree_cut(
+    tree: DendroTree, a: np.ndarray, b: np.ndarray, deg: list[int], m: int
+) -> tuple[list[list[str]], float]:
+    """Best cut of one tree from a link table ``{community: {neighbour:
+    links}}``, rebuilt under a new community id at every merge.
+
+    Same signature and operation order as ``community._best_tree_cut``, so
+    the two give the same groups and bit for bit the same gain.
+    """
+    n = len(tree.leaves)
+    table: dict[int, dict[int, int]] = {i: {} for i in range(n)}
+    for i, j in zip(a.tolist(), b.tolist()):
+        table[i][j] = table[j][i] = 1
+    sum_deg = list(deg)
+
+    gains = [0.0]
+    q = 0.0
+    for pos, (c1, c2, _) in enumerate(tree.merges):
+        new = n + pos
+        between = table[c1].get(c2, 0)
+        merged: dict[int, int] = {}
+        for source in (c1, c2):
+            for other, count in table.pop(source).items():
+                if other in (c1, c2):
+                    continue
+                merged[other] = merged.get(other, 0) + count
+                peer = table[other]
+                del peer[source]
+                peer[new] = peer.get(new, 0) + count
+        table[new] = merged
+        q += between / m - 2.0 * (sum_deg[c1] / (2 * m)) * (sum_deg[c2] / (2 * m))
+        gains.append(q)
+        sum_deg.append(sum_deg[c1] + sum_deg[c2])
+
+    best_t = max(range(len(gains)), key=lambda i: (gains[i], i))
+
+    members: dict[int, list[str]] = {i: [leaf] for i, leaf in enumerate(tree.leaves)}
+    for pos, (c1, c2, _) in enumerate(tree.merges[:best_t]):
+        members[n + pos] = members.pop(c1) + members.pop(c2)
+    return [sorted(g) for g in members.values()], gains[best_t]
 
 
 # ---------------------------------------------------------------------------

@@ -354,13 +354,6 @@ def test_compare_csv_projection(capsys, gen_dir, tmp_path):
     assert report_to_csv(json.loads(out)) == csv_path.read_text()
 
 
-def test_invalid_threads_env_is_usage_error(capsys, gen_dir, monkeypatch):
-    monkeypatch.setenv("SVCNET_THREADS", "zero")
-    code, _, err = run(capsys, "compare", str(gen_dir), "--plfit-boot", "0")
-    assert code == 2
-    assert "SVCNET_THREADS" in err
-
-
 def test_component_above_the_walktrap_limit_is_usage_error(capsys, gen_dir, monkeypatch):
     from svcnet import community
 

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_net, modularity_by_counting, reference_walktrap_component, undirected
+from conftest import (
+    make_net,
+    modularity_by_counting,
+    reference_best_tree_cut,
+    reference_walktrap_component,
+    undirected,
+)
 from svcnet import community
 from svcnet.community import (
     Dendrogram,
@@ -228,12 +234,19 @@ TIE_GRAPHS = {
 
 
 def assert_matches_heap_reference(net: InteractionNetwork, monkeypatch) -> None:
+    """Walktrap's dendrogram, and the best cut's partition and modularity,
+    equal those of the heap Walktrap and the link-table cut."""
     for t in (1, 2, 4):
-        got = dendrogram_to_json(walktrap(net, t))
+        dend = walktrap(net, t)
+        part, score = best_partition(dend, net)
         with monkeypatch.context() as patch:
             patch.setattr(community, "_walktrap_component", reference_walktrap_component)
-            want = dendrogram_to_json(walktrap(net, t))
-        assert got == want, f"walk length {t}"
+            patch.setattr(community, "_best_tree_cut", reference_best_tree_cut)
+            want = walktrap(net, t)
+            want_part, want_score = best_partition(want, net)
+        assert dendrogram_to_json(dend) == dendrogram_to_json(want), f"walk length {t}"
+        assert part.assignment == want_part.assignment, f"walk length {t}"
+        assert repr(score.q) == repr(want_score.q), f"walk length {t}"
 
 
 @pytest.mark.parametrize("first_seed", range(0, 150, 30))

@@ -316,7 +316,7 @@ def test_er_is_deterministic_per_seed():
 
 def test_er_ratio_uses_observed_average():
     report = er_baseline(30, 60, samples=2, seed=1, observed_average=3.0)
-    assert report.ratio == pytest.approx(3.0 / report.er_sampled_mean)
+    assert report.ratio_observed_to_sampled == pytest.approx(3.0 / report.er_sampled_mean)
 
 
 def test_er_parameter_validation():
