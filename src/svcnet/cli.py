@@ -176,7 +176,7 @@ def analyze_network(
     domains: dict[str, str | None] | None = None,
 ) -> dict:
     """Trim isolates, take the giant component, compute the full metric suite;
-    callers run :func:`_check_walktrap_limit` on ``net`` first."""
+    callers run :func:`check_walktrap_limit` on ``net`` first."""
     kind_index = _KIND_INDEX.get(net.kind, 0)
     trimmed, iso_fraction = trim_isolates(net)
     components = weak_components(trimmed)
@@ -196,13 +196,6 @@ def analyze_network(
     if params.full:
         section["full_network"] = _metric_block(net, params, kind_index, domains)
     return section
-
-
-def _check_walktrap_limit(net: InteractionNetwork) -> None:
-    """Refuse ``net`` before any metric runs if its largest weak component,
-    which is the giant's size, is above Walktrap's limit."""
-    if net.n_nodes:
-        check_walktrap_limit(int(np.bincount(net.view.component).max()))
 
 
 def _report(schema: str, opts: BuildOptions, params: AnalysisParams, **sections) -> dict:
@@ -239,7 +232,7 @@ def compare_collection(
     effective_onto = onto if onto is not None else Ontology.empty()
     built = [build_network(coll, kind, effective_onto, opts) for kind in ALL_KINDS]
     for net in built:
-        _check_walktrap_limit(net)
+        check_walktrap_limit(net)
     networks = {kind.value: analyze_network(net, params, domains)
                 for kind, net in zip(ALL_KINDS, built)}
     return _report(
@@ -403,7 +396,7 @@ def cmd_analyze(args) -> int:
                              f"not to the network file {target}")
         net, domains = _load_network_file(target)
 
-    _check_walktrap_limit(net)
+    check_walktrap_limit(net)
     report = _report(REPORT_SCHEMA, net.options, params,
                      network=analyze_network(net, params, domains))
     _write_output(render_report(report), args.output)

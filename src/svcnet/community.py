@@ -102,10 +102,10 @@ def walktrap(net: InteractionNetwork, walk_length: int = 4) -> Dendrogram:
         raise UsageError("walk length must be >= 1")
     if not net.nodes:
         raise UsageError("walktrap needs a non-empty network")
+    check_walktrap_limit(net)
     view = net.view
     # One tree per weak component, in label order, i.e. by smallest member id.
     _, sizes = np.unique(view.component, return_counts=True)
-    check_walktrap_limit(int(sizes.max()))
     blocks = np.split(np.argsort(view.component, kind="stable"), np.cumsum(sizes)[:-1])
     trees = [
         _walktrap_component(tuple(net.ids[i] for i in block.tolist()), a, b, walk_length)
@@ -114,8 +114,10 @@ def walktrap(net: InteractionNetwork, walk_length: int = 4) -> Dendrogram:
     return Dendrogram(trees=tuple(trees))
 
 
-def check_walktrap_limit(n_nodes: int) -> None:
-    """Refuse a component of ``n_nodes`` above :data:`WALKTRAP_MAX_NODES`."""
+def check_walktrap_limit(net: InteractionNetwork) -> None:
+    """Refuse ``net`` if its largest weak component, which is the giant's
+    size, is above :data:`WALKTRAP_MAX_NODES`."""
+    n_nodes = int(np.bincount(net.view.component).max()) if net.n_nodes else 0
     if n_nodes > WALKTRAP_MAX_NODES:
         raise UsageError(
             f"walktrap takes components of at most {WALKTRAP_MAX_NODES} nodes "
@@ -276,9 +278,10 @@ def _best_tree_cut(
 ) -> tuple[list[list[str]], float]:
     """Best cut of one tree; ``a``/``b`` are its pairs' leaf positions and
     ``deg`` its leaves' undirected degrees.  ``links`` counts the links between
-    live communities, a merged one in its first part's row, ``row[c]``."""
+    live communities, a merged one in its first part's row, ``row[c]``; no other
+    entry is read, so none is reset."""
     n = len(tree.leaves)
-    links = np.zeros((n, n), dtype=np.int32)  # pair counts stay below 2^31
+    links = np.zeros((n, n), dtype=np.int32)  # any entry, live or dead, is <= m < 2^31
     links[a, b] = links[b, a] = 1
     row = list(range(n))
     sum_deg = list(deg)
@@ -289,8 +292,6 @@ def _best_tree_cut(
         r1, r2 = row[c1], row[c2]
         between = int(links[r1, r2])
         links[r1] += links[r2]
-        links[r2] = links[:, r2] = 0
-        links[r1, r1] = 0
         links[:, r1] = links[r1]
         row.append(r1)
         q += between / m - 2.0 * (sum_deg[c1] / (2 * m)) * (sum_deg[c2] / (2 * m))

@@ -8,14 +8,13 @@ does.  There is no deeper schema recursion.  A ``sawsdl:modelReference`` on
 the element (or on the named type it references) populates the parameter's
 concept IRI.
 
-Each document is read by one ``XMLPullParser`` pass, whose events yield both
-the element tree (its root is the first ``start``) and the namespace prefixes
-that QName attribute values such as ``element="tns:Req"`` refer to.  Not
-``iterparse``: on CPython 3.11 every call defines a new iterator class, which
-is cyclic garbage, and loading 1500 documents spent three times as long in the
-garbage collector.  The schema lookups hold the tree's own declaration
-elements; each one's concept and wrapper children are read once, and each
-QName is split once per document.  Equal parameters are one shared object.
+Each document is fed to one ``XMLParser``, whose ``TreeBuilder`` target also
+keeps the namespace prefixes that QName attribute values such as
+``element="tns:Req"`` refer to.  Not ``iterparse``: on CPython 3.11 every
+call defines a new iterator class, which is cyclic garbage, and loading 1500
+documents spent three times as long in the garbage collector.  The schema
+lookups hold the tree's own declaration elements; each one's concept and
+wrapper children are read once.  Equal parameters are one shared object.
 """
 
 from __future__ import annotations
@@ -171,26 +170,28 @@ def parse_description(data: bytes, source: str = "<document>") -> ParsedDescript
     flattened into parameter sets.  Malformed XML raises :class:`CorpusError`
     with the parser's location; structural oddities become warnings.
     """
-    # The tree drops the prefixes that QName attribute values use, so the
-    # same pass collects them; a prefix bound twice keeps its first binding.
-    # A syntax error is queued at feed() and raised by read_events(), so the
-    # events are drained before close(), which would report a later position.
     # An unknown or multi-byte encoding named in the XML declaration raises
     # LookupError or ValueError rather than ParseError.
-    nsmap: dict[str, str] = {}
-    root = None
-    parser = ET.XMLPullParser(events=("start-ns", "start"))
+    builder = _PrefixTreeBuilder()
+    parser = ET.XMLParser(target=builder)
     try:
         parser.feed(data)
-        for event, item in parser.read_events():
-            if event == "start-ns":
-                nsmap.setdefault(*item)
-            elif root is None:
-                root = item
-        parser.close()
+        root = parser.close()
     except (ET.ParseError, LookupError, ValueError) as exc:
         raise CorpusError(f"{source}: malformed XML: {exc}") from exc
-    return _describe(root, nsmap, source)
+    return _describe(root, builder.nsmap, source)
+
+
+class _PrefixTreeBuilder(ET.TreeBuilder):
+    """A tree builder that also keeps the prefixes the tree drops, which QName
+    attribute values use; a prefix bound twice keeps its first binding."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nsmap: dict[str, str] = {}
+
+    def start_ns(self, prefix: str, uri: str) -> None:
+        self.nsmap.setdefault(prefix, uri)
 
 
 def _describe(root: ET.Element, nsmap: dict[str, str], source: str) -> ParsedDescription:
@@ -252,8 +253,7 @@ class _DocumentIndex:
 
     The schema tables hold the parsed ``xsd:element``, ``xsd:complexType``
     and ``xsd:simpleType`` declarations themselves, keyed by (target
-    namespace, name) and, first declaration wins, by name alone.  Each QName
-    is split once per document.
+    namespace, name) and, first declaration wins, by name alone.
     """
 
     def __init__(self, root: ET.Element, nsmap: dict[str, str], source: str,
@@ -272,7 +272,6 @@ class _DocumentIndex:
         # -> its wrapper children.
         self.children: dict[ET.Element, list[ET.Element] | None] = {}
         self.messages: dict[str, list[ET.Element]] = {}  # name -> its <part>s
-        self.qnames: dict[str, tuple[str | None, str]] = {}  # raw -> (namespace, local)
         self._scan_schemas()
         self._scan_messages()
 
@@ -341,12 +340,8 @@ class _DocumentIndex:
         return stem or "service"
 
     def _split_qname(self, raw: str) -> tuple[str | None, str]:
-        qname = self.qnames.get(raw)
-        if qname is None:
-            prefix, colon, local = raw.partition(":")
-            qname = (self.nsmap.get(prefix), local) if colon else (self.nsmap.get(""), raw)
-            self.qnames[raw] = qname
-        return qname
+        prefix, colon, local = raw.partition(":")
+        return (self.nsmap.get(prefix), local) if colon else (self.nsmap.get(""), raw)
 
     def _find(self, table: dict[tuple[str, str], ET.Element],
               by_name: dict[str, ET.Element], raw: str) -> ET.Element | None:

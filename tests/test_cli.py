@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import svcnet
 from svcnet.cli import main, report_to_csv
 from svcnet.gen import GenSpec, generate, write_collection_tree
 from svcnet.ontology import parse_ontology
+from test_golden import COMPARE_BOOT_SHA256
 
 FIG1_WSDL = """<?xml version="1.0" encoding="UTF-8"?>
 <wsdl:definitions name="figure1" targetNamespace="http://ex.org/fig1"
@@ -457,6 +460,61 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
         written[hash_seed] = [(cwd / name).read_bytes()
                               for name in ("network.graphml", "report.json")]
     assert written["0"] == written["1"]
+
+
+def _numpy_avx512_targets() -> str:
+    """numpy's AVX512 dispatch targets, whose names differ between numpy 2.0
+    and later releases, as ``NPY_DISABLE_CPU_FEATURES`` takes them."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    return " ".join(t for t in __cpu_dispatch__ if "AVX512" in t or t == "X86_V4")
+
+
+# Environment settings that change the bits numpy and OpenBLAS compute with:
+# OpenBLAS's kernel, and numpy's AVX512 loops (its float64 power among them).
+KERNEL_SETTINGS = {
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "sandybridge-no-avx512": {"OPENBLAS_CORETYPE": "Sandybridge",
+                              "NPY_DISABLE_CPU_FEATURES": _numpy_avx512_targets()},
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_corpus(tmp_path_factory):
+    """The golden corpus, its subsume network as GraphML, and the bytes of that
+    network's bootstrap analysis under the default kernel and dispatch."""
+    cwd = tmp_path_factory.mktemp("kernels")
+    commands = (
+        ["gen", "corpus", "--seed", "0"],
+        ["extract", "corpus", "--matcher", "subsume", "--ontology", "corpus/ontology.tsv",
+         "--format", "graphml", "-o", "subsume.graphml"],
+        ["analyze", "subsume.graphml", "--plfit-boot", "20", "-o", "analysis.json"],
+    )
+    for argv in commands:
+        proc = run_process(CONSOLE_SCRIPT + argv, cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+    return cwd, (cwd / "analysis.json").read_bytes()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernel and dispatch names are x86-64's")
+@pytest.mark.parametrize("setting", sorted(KERNEL_SETTINGS))
+def test_reports_do_not_depend_on_the_blas_kernel_or_numpy_dispatch(kernel_corpus, setting):
+    # The reports are pinned across kernels; Walktrap's merge heights are not
+    # (their last bits follow the BLAS kernel), and no report shows them.
+    cwd, default_analysis = kernel_corpus
+    env = KERNEL_SETTINGS[setting]
+    commands = (
+        ["compare", "corpus", "--ontology", "corpus/ontology.tsv", "--plfit-boot", "100",
+         "--seed", "0", "-o", f"compare-{setting}.json"],
+        ["analyze", "subsume.graphml", "--plfit-boot", "20", "-o", f"analysis-{setting}.json"],
+    )
+    for argv in commands:
+        proc = run_process(CONSOLE_SCRIPT + argv, cwd=cwd, **env)
+        assert proc.returncode == 0, proc.stderr
+    report = (cwd / f"compare-{setting}.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == COMPARE_BOOT_SHA256
+    assert (cwd / f"analysis-{setting}.json").read_bytes() == default_analysis
 
 
 def test_cli_import_leaves_out_xml_sax_and_urllib_request():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import re
@@ -705,6 +706,19 @@ def test_bench_corpus_loads_as_the_reference(workload, seed, tmp_path, monkeypat
     reference = load_collection(tmp_path)
     assert collection_to_json(coll) == collection_to_json(reference)
     assert coll == reference
+
+
+def test_loading_a_collection_leaves_no_cyclic_garbage(tmp_path):
+    # iterparse defines an iterator class per call, which is cyclic garbage
+    # (2000 objects on this corpus); the parse must not bring that back.
+    assert main(["gen", str(tmp_path), *BENCH_CORPORA["graph-large"], "--seed", "0"]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        load_collection(tmp_path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # expat reads iterparse input 16 KiB at a time, so one seed spans two reads.
