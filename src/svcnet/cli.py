@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 import warnings
+from collections.abc import Iterable
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from .netbuild import (
     EXPORT_FORMATS,
     InteractionNetwork,
     build_network,
-    export_network,
+    export_chunks,
     read_edgelist,
     read_graphml,
     trim_isolates,
@@ -354,11 +356,15 @@ def _resolve_build_inputs(args) -> tuple[MatcherKind, Ontology]:
     return kind, onto if onto is not None else Ontology.empty()
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write_output(chunks: Iterable[str], output: str | None) -> None:
+    """Write each chunk as UTF-8 as it comes, to the file ``output`` or to
+    stdout, so both get the same bytes whatever the locale."""
+    if not output:
+        sys.stdout.flush()
+    with open(output, "wb") if output else nullcontext(sys.stdout.buffer) as out:
+        for chunk in chunks:
+            out.write(chunk.encode("utf-8"))
+        out.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +376,7 @@ def cmd_extract(args) -> int:
     kind, onto = _resolve_build_inputs(args)
     coll = _load_collection_arg(args.collection)
     net = build_network(coll, kind, onto, _build_options(args))
-    text = export_network(net, args.format, domains=coll.domain_of_operation())
-    _write_output(text, args.output)
+    _write_output(export_chunks(net, args.format, coll.domain_of_operation()), args.output)
     return 0
 
 
@@ -399,7 +404,7 @@ def cmd_analyze(args) -> int:
     check_walktrap_limit(net)
     report = _report(REPORT_SCHEMA, net.options, params,
                      network=analyze_network(net, params, domains))
-    _write_output(render_report(report), args.output)
+    _write_output([render_report(report)], args.output)
     return 0
 
 
@@ -413,9 +418,9 @@ def cmd_compare(args) -> int:
             file=sys.stderr,
         )
     report = compare_collection(coll, onto, _build_options(args), params)
-    _write_output(render_report(report), args.output)
+    _write_output([render_report(report)], args.output)
     if args.csv:
-        Path(args.csv).write_text(report_to_csv(report), encoding="utf-8")
+        _write_output([report_to_csv(report)], args.csv)
     return 0
 
 
@@ -446,8 +451,7 @@ def cmd_gen(args) -> int:
 
 def cmd_export(args) -> int:
     net, domains = _load_network_file(Path(args.network))
-    text = export_network(net, args.format, domains=domains)
-    _write_output(text, args.output)
+    _write_output(export_chunks(net, args.format, domains), args.output)
     return 0
 
 

@@ -11,11 +11,12 @@ A network is built, trimmed and exported as its sorted integer links.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -27,6 +28,10 @@ from .ontology import Ontology
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
 EXPORT_FORMATS = ("graphml", "dot", "edgelist")
+
+# Exports are rendered this many lines at a time, so that writing one holds a
+# few hundred kilobytes of text whatever the network's size.
+EXPORT_CHUNK_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -250,43 +255,86 @@ def trim_isolates(net: InteractionNetwork) -> tuple[InteractionNetwork, float]:
 # ---------------------------------------------------------------------------
 
 
+def export_chunks(
+    net: InteractionNetwork,
+    format: str,
+    domains: dict[str, str | None] | None = None,
+) -> Iterator[str]:
+    """Render the network as pieces of :data:`EXPORT_CHUNK_LINES` lines each, so
+    a writer holds one piece at a time; nodes and links come in id order, so
+    output is stable.
+
+    Only GraphML preserves isolated nodes, the matcher kind, the build options
+    and (optionally) per-node domain labels; the edge list is just sorted
+    ``src<TAB>dst`` lines.  An unknown format, and an edge list that
+    :func:`read_edgelist` could not read back, raise here, before any piece.
+    """
+    if format == "graphml":
+        lines = _graphml_lines(net, domains)
+    elif format == "dot":
+        lines = _dot_lines(net)
+    elif format == "edgelist":
+        _check_edgelist(net)
+        ids = net.ids
+        lines = (f"{ids[s]}\t{ids[d]}\n" for s, d in _links(net))
+    else:
+        raise UsageError(f"unknown export format {format!r} (expected one of: "
+                         + ", ".join(EXPORT_FORMATS) + ")")
+    return _chunked(lines)
+
+
 def export_network(
     net: InteractionNetwork,
     format: str,
     domains: dict[str, str | None] | None = None,
 ) -> str:
-    """Render the network; nodes and links come in id order, so output is stable.
+    """The text of :func:`export_chunks` as one string."""
+    return "".join(export_chunks(net, format, domains))
 
-    Only GraphML preserves isolated nodes, the matcher kind, the build options
-    and (optionally) per-node domain labels; the edge list is just sorted
-    ``src<TAB>dst`` lines.
+
+def _chunked(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` joined :data:`EXPORT_CHUNK_LINES` at a time."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, EXPORT_CHUNK_LINES)):
+        yield chunk
+
+
+def _links(net: InteractionNetwork) -> Iterator[tuple[int, int]]:
+    """The links as (src, dst) index pairs, taken from the arrays a chunk at a time."""
+    for k in range(0, net.n_edges, EXPORT_CHUNK_LINES):
+        yield from zip(net.src[k:k + EXPORT_CHUNK_LINES].tolist(),
+                       net.dst[k:k + EXPORT_CHUNK_LINES].tolist())
+
+
+def _check_edgelist(net: InteractionNetwork) -> None:
+    """Refuse the first link whose ``src<TAB>dst`` line :func:`read_edgelist`
+    could not read back (a tab or line break in an id, an empty id, a line it
+    would skip as blank or as a comment).
+
+    No line joining two safe ids can be refused, so the links are checked one
+    by one only when some id is unsafe.
     """
-    if format == "graphml":
-        return _to_graphml(net, domains)
-    if format == "dot":
-        return _to_dot(net)
-    if format == "edgelist":
-        ids = net.ids
-        return "".join(_edgelist_line(ids[s], ids[d])
-                       for s, d in zip(net.src.tolist(), net.dst.tolist()))
-    raise UsageError(f"unknown export format {format!r} (expected one of: "
-                     + ", ".join(EXPORT_FORMATS) + ")")
+    if all(map(_is_safe_edgelist_id, net.ids)):
+        return
+    ids = net.ids
+    for s, d in _links(net):
+        src, dst = ids[s], ids[d]
+        line = f"{src}\t{dst}"
+        if (line.splitlines() != [line] or line.split("\t") != [src, dst] or not (src and dst)
+                or not line.strip() or line.lstrip().startswith("#")):
+            raise SvcnetError(f"link ({src!r}, {dst!r}) cannot be written as an edge-list "
+                              "line; export GraphML instead")
 
 
-def _edgelist_line(src: str, dst: str) -> str:
-    """One ``src<TAB>dst`` line, refused when :func:`read_edgelist` could not
-    read the link back (a tab or line break in an id, an empty id, a line
-    it would skip as blank or as a comment)."""
-    line = f"{src}\t{dst}"
-    if (line.splitlines() != [line] or line.split("\t") != [src, dst] or not (src and dst)
-            or not line.strip() or line.lstrip().startswith("#")):
-        raise SvcnetError(f"link ({src!r}, {dst!r}) cannot be written as an edge-list "
-                          "line; export GraphML instead")
-    return line + "\n"
+def _is_safe_edgelist_id(node: str) -> bool:
+    """Not blank, one line without a tab, and not a comment once left-stripped."""
+    return (node.strip() != "" and node.splitlines() == [node] and "\t" not in node
+            and not node.lstrip().startswith("#"))
 
 
 # Line breaks and tabs in an attribute value would be read back as spaces.
 _ATTRIBUTE_ENTITIES = {"\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
+_NEEDS_QUOTEATTR_ESCAPES = re.compile('[&<>"\n\r\t]')
 
 
 def escape(text: str, entities: dict[str, str] | None = None) -> str:
@@ -302,6 +350,8 @@ def quoteattr(text: str) -> str:
     """``text`` escaped and quoted as an attribute value, as
     ``xml.sax.saxutils.quoteattr`` does: in double quotes, or in single quotes
     when it holds a double quote but no single one."""
+    if not _NEEDS_QUOTEATTR_ESCAPES.search(text):
+        return f'"{text}"'
     text = escape(text, _ATTRIBUTE_ENTITIES)
     if '"' not in text:
         return f'"{text}"'
@@ -310,42 +360,41 @@ def quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
-def _to_graphml(net: InteractionNetwork, domains: dict[str, str | None] | None) -> str:
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<graphml xmlns="{GRAPHML_NS}">',
-        '  <key id="kind" for="graph" attr.name="kind" attr.type="string"/>',
-        '  <key id="zit" for="graph" attr.name="zero_input_targets" attr.type="boolean"/>',
-        '  <key id="rs" for="graph" attr.name="reflexive_subsumption" attr.type="boolean"/>',
-        '  <key id="domain" for="node" attr.name="domain" attr.type="string"/>',
-        '  <graph id="interactions" edgedefault="directed">',
-        f'    <data key="kind">{escape(net.kind.value if net.kind else "")}</data>',
-        f'    <data key="zit">{str(net.options.zero_input_targets).lower()}</data>',
-        f'    <data key="rs">{str(net.options.reflexive_subsumption).lower()}</data>',
-    ]
+def _graphml_lines(net: InteractionNetwork,
+                   domains: dict[str, str | None] | None) -> Iterator[str]:
+    yield from (
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<graphml xmlns="{GRAPHML_NS}">\n',
+        '  <key id="kind" for="graph" attr.name="kind" attr.type="string"/>\n',
+        '  <key id="zit" for="graph" attr.name="zero_input_targets" attr.type="boolean"/>\n',
+        '  <key id="rs" for="graph" attr.name="reflexive_subsumption" attr.type="boolean"/>\n',
+        '  <key id="domain" for="node" attr.name="domain" attr.type="string"/>\n',
+        '  <graph id="interactions" edgedefault="directed">\n',
+        f'    <data key="kind">{escape(net.kind.value if net.kind else "")}</data>\n',
+        f'    <data key="zit">{str(net.options.zero_input_targets).lower()}</data>\n',
+        f'    <data key="rs">{str(net.options.reflexive_subsumption).lower()}</data>\n',
+    )
     quoted = [quoteattr(node) for node in net.ids]
     for node, q in zip(net.ids, quoted):
         domain = domains.get(node) if domains else None
         if domain is None:
-            lines.append(f"    <node id={q}/>")
+            yield f"    <node id={q}/>\n"
         else:
             # XML end-of-line handling would read a raw carriage return as \n.
             text = escape(domain, {"\r": "&#13;"})
-            lines.append(f'    <node id={q}><data key="domain">{text}</data></node>')
-    lines.extend(f"    <edge source={quoted[s]} target={quoted[d]}/>"
-                 for s, d in zip(net.src.tolist(), net.dst.tolist()))
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+            yield f'    <node id={q}><data key="domain">{text}</data></node>\n'
+    yield from (f"    <edge source={quoted[s]} target={quoted[d]}/>\n" for s, d in _links(net))
+    yield "  </graph>\n"
+    yield "</graphml>\n"
 
 
-def _to_dot(net: InteractionNetwork) -> str:
+def _dot_lines(net: InteractionNetwork) -> Iterator[str]:
     def q(name: str) -> str:
         return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    lines = ["digraph interactions {"]
-    lines.append(
-        "  graph [kind=%s, zero_input_targets=%s, reflexive_subsumption=%s];"
+    yield "digraph interactions {\n"
+    yield (
+        "  graph [kind=%s, zero_input_targets=%s, reflexive_subsumption=%s];\n"
         % (
             q(net.kind.value if net.kind else ""),
             q(str(net.options.zero_input_targets).lower()),
@@ -353,11 +402,9 @@ def _to_dot(net: InteractionNetwork) -> str:
         )
     )
     quoted = [q(node) for node in net.ids]
-    lines.extend(f"  {node};" for node in quoted)
-    lines.extend(f"  {quoted[s]} -> {quoted[d]};"
-                 for s, d in zip(net.src.tolist(), net.dst.tolist()))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield from (f"  {node};\n" for node in quoted)
+    yield from (f"  {quoted[s]} -> {quoted[d]};\n" for s, d in _links(net))
+    yield "}\n"
 
 
 def read_graphml(text: str) -> tuple[InteractionNetwork, dict[str, str] | None]:

@@ -12,7 +12,7 @@ import svcnet
 from svcnet.cli import main, report_to_csv
 from svcnet.gen import GenSpec, generate, write_collection_tree
 from svcnet.ontology import parse_ontology
-from test_golden import COMPARE_BOOT_SHA256
+from test_golden import COMPARE_BOOT_SHA256, EXPORT_SHA256
 
 FIG1_WSDL = """<?xml version="1.0" encoding="UTF-8"?>
 <wsdl:definitions name="figure1" targetNamespace="http://ex.org/fig1"
@@ -403,13 +403,14 @@ def test_compare_without_ontology_warns(capsys, gen_dir):
 CONSOLE_SCRIPT = [sys.executable, "-c", "import sys; from svcnet.cli import main; sys.exit(main())"]
 
 
-def run_process(argv: list[str], cwd=None, **env_vars: str) -> subprocess.CompletedProcess:
+def run_process(argv: list[str], cwd=None, *, text: bool = True,
+                **env_vars: str) -> subprocess.CompletedProcess:
     """Run ``argv`` as a process that imports this checkout's svcnet, with
-    ``env_vars`` added to its environment."""
+    ``env_vars`` added to its environment; ``text=False`` keeps its output bytes."""
     env = dict(os.environ, **env_vars)
     src = str(Path(svcnet.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=cwd, check=False)
+    return subprocess.run(argv, capture_output=True, text=text, env=env, cwd=cwd, check=False)
 
 
 def test_library_warnings_print_as_warning_lines(gen_dir):
@@ -610,6 +611,70 @@ def test_export_edgelist_refuses_an_id_it_cannot_read_back(capsys, tmp_path):
     assert "'a\\tx'" in err
     code, out, _ = run(capsys, "export", str(net_file), "--format", "graphml")
     assert code == 0 and 'id="a&#9;x"' in out
+
+
+@pytest.mark.parametrize("command", ["extract", "export"])
+@pytest.mark.parametrize("existing", [b"an earlier file\n", None], ids=["existing", "missing"])
+def test_refused_edgelist_export_leaves_the_output_file_as_it_was(capsys, fig1_dir, tmp_path,
+                                                                 command, existing):
+    # The refusal comes before the output is opened, so nothing is truncated.
+    if command == "extract":
+        wsdl = fig1_dir / "figure1.wsdl"
+        wsdl.write_text(FIG1_WSDL.replace('<wsdl:service name="figure1"/>',
+                                          '<wsdl:service name="#figure1"/>'))
+        argv = ["extract", str(fig1_dir), "--matcher", "equal"]
+    else:
+        net_file = tmp_path / "tab.graphml"
+        net_file.write_text(_graphml("equal", '<node id="a&#9;x"/><node id="b"/>'
+                                              '<edge source="a&#9;x" target="b"/>'))
+        argv = ["export", str(net_file)]
+    out_file = tmp_path / "out.tsv"
+    if existing is not None:
+        out_file.write_bytes(existing)
+    code, out, err = run(capsys, *argv, "--format", "edgelist", "-o", str(out_file))
+    assert code == 1
+    assert out == "" and "cannot be written as an edge-list line" in err
+    if existing is None:
+        assert not out_file.exists()
+    else:
+        assert out_file.read_bytes() == existing
+
+
+@pytest.fixture(scope="module")
+def golden_corpus(tmp_path_factory):
+    """The default ``svcnet gen --seed 0`` corpus of ``test_golden.py``."""
+    out = tmp_path_factory.mktemp("golden") / "corpus"
+    assert main(["gen", str(out), "--seed", "0"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["graphml", "dot", "edgelist"])
+def test_extract_writes_the_golden_export_bytes_to_a_file_and_to_stdout(
+        capsysbinary, golden_corpus, tmp_path, fmt):
+    for kind in ("equal", "exact", "plugin", "subsume"):
+        argv = ["extract", str(golden_corpus), "--matcher", kind,
+                "--ontology", str(golden_corpus / "ontology.tsv"), "--format", fmt]
+        out_file = tmp_path / f"{kind}.{fmt}"
+        assert main(argv + ["-o", str(out_file)]) == 0
+        assert main(argv) == 0
+        written = out_file.read_bytes()
+        assert hashlib.sha256(written).hexdigest() == EXPORT_SHA256[kind, fmt]
+        assert capsysbinary.readouterr().out == written
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_gets_the_utf8_bytes_of_the_output_file(tmp_path, encoding):
+    # The id is not ASCII; stdout's own encoding must neither refuse it nor
+    # write it in anything but the UTF-8 the GraphML declares.
+    net_file = tmp_path / "net.tsv"
+    net_file.write_text("café::op\tb::op\n", encoding="utf-8")
+    out_file = tmp_path / "out.graphml"
+    argv = CONSOLE_SCRIPT + ["export", str(net_file), "--format", "graphml"]
+    to_stdout = run_process(argv, text=False, PYTHONIOENCODING=encoding)
+    to_file = run_process(argv + ["-o", str(out_file)], text=False, PYTHONIOENCODING=encoding)
+    assert to_stdout.returncode == to_file.returncode == 0, to_stdout.stderr
+    assert to_stdout.stdout == out_file.read_bytes()
+    assert 'id="café::op"'.encode("utf-8") in to_stdout.stdout
 
 
 NOT_UTF8 = b"\xff\xfe"

@@ -1,5 +1,8 @@
 import dataclasses
+import tracemalloc
 from xml.sax import saxutils
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +13,15 @@ from svcnet.corpus import OperationDesc, ServiceCollection, ServiceDesc
 from svcnet.errors import SvcnetError, UsageError
 from svcnet.gen import GenSpec, generate
 from svcnet.matcher import ALL_KINDS, MatcherKind
+from svcnet.cli import _write_output
 from svcnet.netbuild import (
+    EXPORT_CHUNK_LINES,
     BuildOptions,
     InteractionNetwork,
+    _is_safe_edgelist_id,
     build_network,
     escape,
+    export_chunks,
     export_network,
     quoteattr,
     read_edgelist,
@@ -253,6 +260,61 @@ def test_edgelist_export_refuses_links_it_cannot_read_back(edge):
 def test_edgelist_export_reads_back_unusual_ids():
     net = make_net([("a#", "#b"), (" a", "b "), ("é", "a b")])
     assert read_edgelist(export_network(net, "edgelist")).edges == net.edges
+
+
+EDGELIST_ID = st.text(st.sampled_from("ab#\t\n\r\x0b\x0c\x1c\x85\u2028\u3000 "),
+                      min_size=1, max_size=4)
+
+
+@given(EDGELIST_ID, EDGELIST_ID)
+def test_edgelist_export_of_safe_ids_reads_back(src, dst):
+    # The export checks link by link only when some id is unsafe: a line of
+    # two safe ids must never need refusing.
+    if src == dst or not (_is_safe_edgelist_id(src) and _is_safe_edgelist_id(dst)):
+        return
+    net = make_net([(src, dst)])
+    assert read_edgelist(export_network(net, "edgelist")).edges == net.edges
+
+
+def test_edgelist_export_refuses_an_unsafe_id_only_where_it_is_linked():
+    net = make_net([("a", "b")], nodes=["#lonely"])
+    assert export_network(net, "edgelist") == "a\tb\n"
+    with pytest.raises(SvcnetError, match="'#lonely', 'b'"):
+        export_chunks(make_net([("a", "b"), ("#lonely", "b")]), "edgelist")
+
+
+def test_export_chunks_hold_a_fixed_number_of_lines():
+    n = 70
+    net = make_net([(f"n{i:02}", f"n{j:02}") for i in range(n) for j in range(n) if i != j])
+    for fmt in ("graphml", "dot", "edgelist"):
+        chunks = list(export_chunks(net, fmt))
+        assert len(chunks) > 1
+        assert all(chunk.count("\n") == EXPORT_CHUNK_LINES for chunk in chunks[:-1])
+        assert 0 < chunks[-1].count("\n") <= EXPORT_CHUNK_LINES
+        assert all(chunk.endswith("\n") for chunk in chunks)
+
+
+def test_graphml_export_is_written_in_bounded_memory(tmp_path):
+    # 120,000 links over 1,200 nodes: the export is 10.4 MB of text, which the
+    # writer must never hold whole (streamed, it peaks at about 1.6 MiB).
+    n, per_node = 1_200, 100
+    rng = np.random.default_rng(0)
+    dst = np.concatenate([np.sort(rng.choice(np.delete(np.arange(n), i), per_node,
+                                             replace=False)) for i in range(n)])
+    ids = tuple(f"service{i // 3:04}::operation{i:05}" for i in range(n))
+    net = InteractionNetwork._from_links(ids, np.repeat(np.arange(n), per_node), dst,
+                                         MatcherKind.SUBSUME, BuildOptions())
+    domains = {node: f"domain{i % 8}" for i, node in enumerate(ids)}
+    out = tmp_path / "network.graphml"
+    tracemalloc.start()
+    try:
+        _write_output(export_chunks(net, "graphml", domains), str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size >= 5_000_000
+    assert peak < 4 * 2**20
+    assert out.read_text(encoding="utf-8") == export_network(net, "graphml", domains)
 
 
 def test_dot_output_shape():
