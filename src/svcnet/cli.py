@@ -358,7 +358,12 @@ def _resolve_build_inputs(args) -> tuple[MatcherKind, Ontology]:
 
 def _write_output(chunks: Iterable[str], output: str | None) -> None:
     """Write each chunk as UTF-8 as it comes, to the file ``output`` or to
-    stdout, so both get the same bytes whatever the locale."""
+    stdout, so both get the same bytes whatever the locale.  A stdout that is a
+    text stream with no byte buffer (``redirect_stdout(io.StringIO())``) gets
+    the chunks as text."""
+    if not output and getattr(sys.stdout, "buffer", None) is None:
+        sys.stdout.writelines(chunks)
+        return
     if not output:
         sys.stdout.flush()
     with open(output, "wb") if output else nullcontext(sys.stdout.buffer) as out:

@@ -11,7 +11,6 @@ A network is built, trimmed and exported as its sorted integer links.
 
 from __future__ import annotations
 
-import re
 import xml.etree.ElementTree as ET
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -309,13 +308,7 @@ def _links(net: InteractionNetwork) -> Iterator[tuple[int, int]]:
 def _check_edgelist(net: InteractionNetwork) -> None:
     """Refuse the first link whose ``src<TAB>dst`` line :func:`read_edgelist`
     could not read back (a tab or line break in an id, an empty id, a line it
-    would skip as blank or as a comment).
-
-    No line joining two safe ids can be refused, so the links are checked one
-    by one only when some id is unsafe.
-    """
-    if all(map(_is_safe_edgelist_id, net.ids)):
-        return
+    would skip as blank or as a comment)."""
     ids = net.ids
     for s, d in _links(net):
         src, dst = ids[s], ids[d]
@@ -326,15 +319,8 @@ def _check_edgelist(net: InteractionNetwork) -> None:
                               "line; export GraphML instead")
 
 
-def _is_safe_edgelist_id(node: str) -> bool:
-    """Not blank, one line without a tab, and not a comment once left-stripped."""
-    return (node.strip() != "" and node.splitlines() == [node] and "\t" not in node
-            and not node.lstrip().startswith("#"))
-
-
 # Line breaks and tabs in an attribute value would be read back as spaces.
 _ATTRIBUTE_ENTITIES = {"\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
-_NEEDS_QUOTEATTR_ESCAPES = re.compile('[&<>"\n\r\t]')
 
 
 def escape(text: str, entities: dict[str, str] | None = None) -> str:
@@ -350,8 +336,6 @@ def quoteattr(text: str) -> str:
     """``text`` escaped and quoted as an attribute value, as
     ``xml.sax.saxutils.quoteattr`` does: in double quotes, or in single quotes
     when it holds a double quote but no single one."""
-    if not _NEEDS_QUOTEATTR_ESCAPES.search(text):
-        return f'"{text}"'
     text = escape(text, _ATTRIBUTE_ENTITIES)
     if '"' not in text:
         return f'"{text}"'

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -675,6 +677,22 @@ def test_stdout_gets_the_utf8_bytes_of_the_output_file(tmp_path, encoding):
     assert to_stdout.returncode == to_file.returncode == 0, to_stdout.stderr
     assert to_stdout.stdout == out_file.read_bytes()
     assert 'id="café::op"'.encode("utf-8") in to_stdout.stdout
+
+
+@pytest.mark.parametrize("command", ["export", "analyze"])
+def test_a_text_stdout_without_a_byte_buffer_gets_the_text(tmp_path, command):
+    # main() is a library entry point too: a caller may swap stdout for a text
+    # stream that has no .buffer.
+    net_file = tmp_path / "net.tsv"
+    net_file.write_text("café::op\tb::op\n", encoding="utf-8")
+    out_file = tmp_path / "out"
+    argv = [command, str(net_file)] + (["--plfit-boot", "0"] if command == "analyze"
+                                       else ["--format", "graphml"])
+    assert main(argv + ["-o", str(out_file)]) == 0
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert main(argv) == 0
+    assert stdout.getvalue() == out_file.read_text(encoding="utf-8")
 
 
 NOT_UTF8 = b"\xff\xfe"
