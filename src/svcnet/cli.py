@@ -7,6 +7,9 @@ The comparison report is the four-matcher property matrix over the giant
 components: nodes, links, average distance, diameter, transitivity,
 communities, modularity, plus the power-law fit and the random-graph
 distance baseline per network.
+
+``extract`` and ``export`` load neither numpy nor the analysis modules
+(metrics, community, plfit, gen): each command imports those where it runs them.
 """
 
 from __future__ import annotations
@@ -20,23 +23,10 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .corpus import ServiceCollection, collection_stats, load_collection
-from .community import best_partition, check_walktrap_limit, domain_overlap, walktrap
 from .errors import DegenerateInputError, SvcnetError, UsageError
-from .gen import GenSpec, generate, write_collection_tree
 from .matcher import ALL_KINDS, MatcherKind
-from .metrics import (
-    degree_report,
-    distance_report,
-    er_baseline,
-    giant_component,
-    total_degrees,
-    transitivity,
-    weak_components,
-)
 from .netbuild import (
     BuildOptions,
     EXPORT_FORMATS,
@@ -48,7 +38,6 @@ from .netbuild import (
     trim_isolates,
 )
 from .ontology import Ontology, load_ontology
-from .plfit import fit_with_gof
 
 REPORT_SCHEMA = "svcnet-report/1"
 COMPARE_SCHEMA = "svcnet-compare/1"
@@ -72,6 +61,8 @@ CONVENTIONS = {
 
 
 def _derived_seed(*parts: int) -> int:
+    import numpy as np
+
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
@@ -118,6 +109,9 @@ class AnalysisParams:
 
 def _metric_block(net: InteractionNetwork, params: AnalysisParams, kind_index: int,
                   domains: dict[str, str | None] | None) -> dict:
+    from .community import best_partition, domain_overlap, walktrap
+    from .metrics import degree_report, distance_report, er_baseline, transitivity
+
     dist = distance_report(net)
     block = {
         "nodes": net.n_nodes,
@@ -160,6 +154,9 @@ def _metric_block(net: InteractionNetwork, params: AnalysisParams, kind_index: i
 
 
 def _power_law_block(net: InteractionNetwork, params: AnalysisParams, kind_index: int) -> dict:
+    from .metrics import total_degrees
+    from .plfit import fit_with_gof
+
     degrees = total_degrees(net)
     try:
         fit = fit_with_gof(
@@ -178,7 +175,9 @@ def analyze_network(
     domains: dict[str, str | None] | None = None,
 ) -> dict:
     """Trim isolates, take the giant component, compute the full metric suite;
-    callers run :func:`check_walktrap_limit` on ``net`` first."""
+    callers run :func:`~svcnet.community.check_walktrap_limit` on ``net`` first."""
+    from .metrics import giant_component, weak_components
+
     kind_index = _KIND_INDEX.get(net.kind, 0)
     trimmed, iso_fraction = trim_isolates(net)
     components = weak_components(trimmed)
@@ -230,6 +229,8 @@ def compare_collection(
     params: AnalysisParams,
 ) -> dict:
     """Build and check all four networks, then analyze them one after another."""
+    from .community import check_walktrap_limit
+
     domains = coll.domain_of_operation()
     effective_onto = onto if onto is not None else Ontology.empty()
     built = [build_network(coll, kind, effective_onto, opts) for kind in ALL_KINDS]
@@ -386,6 +387,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .community import check_walktrap_limit
+
     params = _analysis_params(args, full=args.full)
     target = Path(args.path)
     if target.is_dir():
@@ -430,6 +433,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .gen import GenSpec, generate, write_collection_tree
+
     spec = GenSpec(
         n_services=args.services,
         ops_per_service=args.ops_per_service,

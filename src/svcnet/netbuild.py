@@ -6,23 +6,28 @@ a matching output parameter exists in i's outputs, i.e. i can supply all the
 information j requires.  Candidate producers are generated through an inverted
 index keyed by name or concept (expanded along the hierarchy for plug-in and
 subsume), which is equivalent to the naive double loop over operation pairs.
-A network is built, trimmed and exported as its sorted integer links.
+A network is built, trimmed and exported as its sorted integer links.  Building,
+reading and exporting one needs no numpy: the links are int64 buffers, and
+numpy is imported by the functions that compute with them.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import ServiceCollection
 from .errors import SvcnetError, UsageError
 from .matcher import MatcherKind
 from .ontology import Ontology
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
@@ -55,6 +60,8 @@ def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     root of every still-split link onto the smaller one, then flattens the
     label forest, so every round removes at least one root.
     """
+    import numpy as np
+
     label = np.arange(n)
     while True:
         la, lb = label[a], label[b]
@@ -95,9 +102,10 @@ class InteractionNetwork:
 
     Node i is ``ids[i]``; ids are sorted, so index order is id order.  Link k
     is ``src[k] -> dst[k]``, in (src, dst) order, which is also the order of
-    the id pairs.  The arrays are read-only.  The constructor indexes outside
-    ids and id pairs and refuses duplicate ids, self-loops and links to
-    undeclared nodes with ``ValueError``.
+    the id pairs.  The links are kept as int64 buffers, stdlib ``array('q')``
+    or numpy; ``src`` and ``dst`` are read-only numpy views of them, made on
+    first use.  The constructor indexes outside ids and id pairs and refuses
+    duplicate ids, self-loops and links to undeclared nodes with ``ValueError``.
     """
 
     # __new__ rather than __init__: checked input and trusted links both end
@@ -109,28 +117,40 @@ class InteractionNetwork:
         if len(index) != len(ids):
             duplicate = next(a for a, b in zip(ids, ids[1:]) if a == b)
             raise ValueError(f"duplicate node id {duplicate!r}")
-        keys = []
+        n = max(len(ids), 1)
+        keys = set()
         for src, dst in edges:
             if src == dst:
                 raise ValueError(f"self-loop on {src!r}")
             if src not in index or dst not in index:
                 raise ValueError(f"edge endpoint not a node: ({src!r}, {dst!r})")
-            keys.append(index[src] * len(ids) + index[dst])
-        links = np.divmod(np.unique(np.array(keys, dtype=np.int64)), max(len(ids), 1))
-        return cls._from_links(ids, *links, kind, options)
+            keys.add(index[src] * n + index[dst])
+        keys = sorted(keys)
+        return cls._from_links(ids, array("q", [k // n for k in keys]),
+                               array("q", [k % n for k in keys]), kind, options)
 
     @classmethod
     def _from_links(cls, ids, src, dst, kind, options) -> InteractionNetwork:
-        """Trusted constructor: sorted unique ids, links sorted by (src, dst)."""
+        """Trusted constructor: sorted unique ids, links sorted by (src, dst) in
+        two int64 buffers, which the network keeps and never writes."""
         net = object.__new__(cls)
-        src.flags.writeable = dst.flags.writeable = False
-        net.ids, net.src, net.dst, net.kind, net.options = ids, src, dst, kind, options
+        net.ids, net._src, net._dst, net.kind, net.options = ids, src, dst, kind, options
         return net
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         return (isinstance(other, InteractionNetwork)
                 and (self.ids, self.kind, self.options) == (other.ids, other.kind, other.options)
                 and np.array_equal(self.src, other.src) and np.array_equal(self.dst, other.dst))
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        return _int64_view(self._src)
+
+    @cached_property
+    def dst(self) -> np.ndarray:
+        return _int64_view(self._dst)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -140,7 +160,7 @@ class InteractionNetwork:
     def edges(self) -> frozenset[tuple[str, str]]:
         """The links as id pairs, built on each call."""
         ids = self.ids
-        return frozenset((ids[s], ids[d]) for s, d in zip(self.src.tolist(), self.dst.tolist()))
+        return frozenset((ids[s], ids[d]) for s, d in _links(self))
 
     @property
     def n_nodes(self) -> int:
@@ -148,11 +168,13 @@ class InteractionNetwork:
 
     @property
     def n_edges(self) -> int:
-        return len(self.src)
+        return len(self._src)
 
     @cached_property
     def view(self) -> NetworkView:
         """The arrays every metric reads, derived from the links on first use."""
+        import numpy as np
+
         n = len(self.ids)
         keys = np.unique(np.minimum(self.src, self.dst) * n + np.maximum(self.src, self.dst))
         pairs = np.stack(np.divmod(keys, n), axis=1)
@@ -169,11 +191,20 @@ class InteractionNetwork:
         renumbering keeps index order, so the kept links stay sorted."""
         if keep.all():
             return self
-        renumber = np.cumsum(keep) - 1
+        renumber = keep.cumsum() - 1
         links = keep[self.src] & keep[self.dst]
         return InteractionNetwork._from_links(
             tuple(compress(self.ids, keep.tolist())), renumber[self.src[links]],
             renumber[self.dst[links]], self.kind, self.options)
+
+
+def _int64_view(links) -> np.ndarray:
+    """A read-only int64 ndarray on the buffer ``links``."""
+    import numpy as np
+
+    view = np.asarray(links, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
 
 
 def build_network(
@@ -214,10 +245,10 @@ def build_network(
         return set().union(*(producers.get(k, ()) for k in keys))
 
     # An input matches by its name under equal, by its concept otherwise, so
-    # each key's producers are gathered once.
+    # each key's producers are gathered once.  Targets are walked in index
+    # order, so each source's bucket of targets comes out sorted.
     candidates: dict[str | None, set[int]] = {}
-    src: list[int] = []
-    n_feeders = [0] * len(ops)  # links into each operation, whose sources extend src
+    targets: list[list[int]] = [[] for _ in ops]
     for j, op in enumerate(ops):
         feeders = set(range(len(ops))) if not op.inputs and opts.zero_input_targets else None
         for p in op.inputs:
@@ -231,18 +262,22 @@ def build_network(
                 break
         if feeders:
             feeders.discard(j)
-            src.extend(feeders)
-            n_feeders[j] = len(feeders)
+            for i in feeders:
+                targets[i].append(j)
 
-    # One sort of the src * n + dst keys puts the links in (src, dst) order.
-    n = len(ops)
-    keys = np.array(src, dtype=np.int64) * n + np.repeat(np.arange(n), n_feeders)
-    return InteractionNetwork._from_links(ids, *np.divmod(np.sort(keys), max(n, 1)), kind, opts)
+    # The buckets in source order are the links in (src, dst) order.
+    src, dst = array("q"), array("q")
+    for i, bucket in enumerate(targets):
+        src.extend(array("q", [i]) * len(bucket))
+        dst.fromlist(bucket)
+    return InteractionNetwork._from_links(ids, src, dst, kind, opts)
 
 
 def trim_isolates(net: InteractionNetwork) -> tuple[InteractionNetwork, float]:
     """Drop total-degree-0 nodes; return the trimmed network and the removed
     fraction of the original nodes."""
+    import numpy as np
+
     linked = np.zeros(net.n_nodes, dtype=bool)
     linked[net.src] = linked[net.dst] = True
     trimmed = net.keep_components(linked)
@@ -299,10 +334,11 @@ def _chunked(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _links(net: InteractionNetwork) -> Iterator[tuple[int, int]]:
-    """The links as (src, dst) index pairs, taken from the arrays a chunk at a time."""
-    for k in range(0, net.n_edges, EXPORT_CHUNK_LINES):
-        yield from zip(net.src[k:k + EXPORT_CHUNK_LINES].tolist(),
-                       net.dst[k:k + EXPORT_CHUNK_LINES].tolist())
+    """The links as (src, dst) index pairs, taken from the buffers a chunk at a time."""
+    src, dst = memoryview(net._src), memoryview(net._dst)
+    for k in range(0, len(src), EXPORT_CHUNK_LINES):
+        yield from zip(src[k:k + EXPORT_CHUNK_LINES].tolist(),
+                       dst[k:k + EXPORT_CHUNK_LINES].tolist())
 
 
 def _check_edgelist(net: InteractionNetwork) -> None:

@@ -380,10 +380,10 @@ def no_metrics(*args):
 def test_walktrap_limit_is_checked_before_any_metric(capsys, gen_dir, monkeypatch, argv):
     # gen_dir's equal and exact giants have 9 nodes, its plugin and subsume
     # giants 10: compare refuses before it analyzes equal.
-    from svcnet import cli, community
+    from svcnet import community, metrics
 
     monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 9)
-    monkeypatch.setattr(cli, "distance_report", no_metrics)
+    monkeypatch.setattr(metrics, "distance_report", no_metrics)
     code, out, err = run(capsys, *(arg.format(gen=gen_dir) for arg in argv),
                          "--ontology", str(gen_dir / "ontology.tsv"), "--plfit-boot", "0")
     assert code == 2
@@ -526,6 +526,51 @@ def test_cli_import_leaves_out_xml_sax_and_urllib_request():
            "if m in sys.modules])"
     proc = run_process([sys.executable, "-c", code])
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+# What ``extract`` and ``export`` must not load.
+ANALYSIS_MODULES = ("numpy", "svcnet.metrics", "svcnet.community", "svcnet.plfit", "svcnet.gen")
+
+
+@pytest.mark.parametrize("launcher", [[sys.executable, "-m", "svcnet.cli"], CONSOLE_SCRIPT],
+                         ids=["module", "script"])
+def test_extract_and_export_load_neither_numpy_nor_the_analysis_layers(
+        golden_corpus, tmp_path, launcher):
+    # -X importtime lists on stderr each module the process imports, when it does.
+    launcher = [launcher[0], "-X", "importtime", *launcher[1:]]
+    extract = ["extract", str(golden_corpus), "--matcher", "subsume",
+               "--ontology", str(golden_corpus / "ontology.tsv")]
+    out = {fmt: tmp_path / f"subsume.{fmt}" for fmt in ("graphml", "edgelist", "dot")}
+    for fmt, argv in (("graphml", extract + ["-o", str(out["graphml"])]),
+                      ("edgelist", extract + ["--format", "edgelist", "-o", str(out["edgelist"])]),
+                      ("dot", ["export", str(out["graphml"]), "--format", "dot",
+                               "-o", str(out["dot"])])):
+        proc = run_process(launcher + argv)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "svcnet.netbuild" in loaded
+        assert [m for m in ANALYSIS_MODULES if m in loaded] == [], argv[0]
+        assert hashlib.sha256(out[fmt].read_bytes()).hexdigest() == EXPORT_SHA256["subsume", fmt]
+
+
+def test_svcnet_import_loads_no_submodule():
+    code = "import sys, svcnet; print([m for m in sys.modules if m.startswith('svcnet.')])"
+    proc = run_process([sys.executable, "-c", code])
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def test_every_public_name_resolves_on_first_access():
+    code = ("import svcnet\n"
+            "listed = set(dir(svcnet))\n"
+            "names = {}\n"
+            "exec('from svcnet import *', names)\n"
+            "print(sorted(set(svcnet.__all__) - listed), sorted(set(svcnet.__all__) - set(names)),\n"
+            "      svcnet.plfit.__name__)")
+    proc = run_process([sys.executable, "-c", code])
+    assert (proc.returncode, proc.stdout) == (0, "[] [] svcnet.plfit\n"), proc.stderr
+    for name in svcnet.__all__:
+        assert getattr(svcnet, name) is not None
 
 
 def test_report_floats_carry_six_significant_digits(capsys, tmp_path):

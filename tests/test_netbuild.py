@@ -16,6 +16,7 @@ from svcnet.matcher import ALL_KINDS, MatcherKind
 from svcnet.cli import _write_output
 from svcnet.netbuild import (
     EXPORT_CHUNK_LINES,
+    EXPORT_FORMATS,
     BuildOptions,
     InteractionNetwork,
     build_network,
@@ -352,7 +353,48 @@ def test_extract_path_leaves_derived_arrays_unbuilt(fig1_collection):
     net = build_network(fig1_collection, MatcherKind.EQUAL)
     for fmt in ("graphml", "dot", "edgelist"):
         export_network(net, fmt)
-    assert "view" not in vars(net)  # where functools.cached_property keeps it
+    # where functools.cached_property keeps them: the exports read the link
+    # buffers, and build no numpy array
+    assert not {"view", "src", "dst"} & set(vars(net))
+
+
+def test_links_read_as_read_only_int64_arrays_whatever_their_buffer():
+    coll, onto, _ = generate(GenSpec(n_services=10, annotation_rate=0.8, seed=4))
+    built = build_network(coll, MatcherKind.SUBSUME, onto)
+    assert built.n_edges > 10
+    checked = InteractionNetwork(nodes=built.ids, edges=built.edges, kind=built.kind)
+    from_numpy = InteractionNetwork._from_links(built.ids, np.array(built.src),
+                                                np.array(built.dst), built.kind, BuildOptions())
+    for net in (built, checked, from_numpy):
+        for links in (net.src, net.dst):
+            assert isinstance(links, np.ndarray) and links.dtype == np.int64
+            assert not links.flags.writeable
+        assert net.src is net.src and net.dst is net.dst  # made once
+    assert built == checked == from_numpy
+    domains = coll.domain_of_operation()
+    for fmt in EXPORT_FORMATS:
+        assert (export_network(built, fmt, domains) == export_network(checked, fmt, domains)
+                == export_network(from_numpy, fmt, domains))
+    trimmed, _ = trim_isolates(built)  # its links are numpy arrays
+    rebuilt = InteractionNetwork(nodes=trimmed.ids, edges=trimmed.edges, kind=built.kind)
+    assert trimmed == rebuilt
+    assert export_network(trimmed, "graphml") == export_network(rebuilt, "graphml")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(ALL_KINDS),
+       st.booleans(), st.booleans())
+def test_build_links_come_in_the_lexsort_order_of_the_naive_pairs(seed, kind, zit, reflexive):
+    coll, onto, _ = generate(GenSpec(n_services=6, inputs_per_op=(0, 2),
+                                     annotation_rate=0.7, seed=seed))
+    opts = BuildOptions(zero_input_targets=zit, reflexive_subsumption=reflexive)
+    net = build_network(coll, kind, onto, opts)
+    index = {node: i for i, node in enumerate(net.ids)}
+    pairs = np.array([(index[a], index[b]) for a, b in naive_build(coll, kind, onto, opts)],
+                     dtype=np.int64).reshape(-1, 2)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    assert net.src.tolist() == pairs[order, 0].tolist()
+    assert net.dst.tolist() == pairs[order, 1].tolist()
 
 
 @settings(max_examples=50, deadline=None)
