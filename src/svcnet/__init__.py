@@ -32,64 +32,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ALL_KINDS",
-    "BuildOptions",
-    "CollectionStats",
-    "ComponentReport",
-    "DegenerateInputError",
-    "DegreeReport",
-    "Dendrogram",
-    "DendroTree",
-    "DistanceReport",
-    "GenSpec",
-    "InteractionNetwork",
-    "MatcherKind",
-    "ModularityScore",
-    "OperationDesc",
-    "Ontology",
-    "ParameterDesc",
-    "Partition",
-    "PowerLawFit",
-    "ServiceCollection",
-    "ServiceDesc",
-    "SmallWorldReport",
-    "SvcnetError",
-    "UsageError",
-    "best_partition",
-    "build_network",
-    "collection_from_json",
-    "collection_stats",
-    "collection_to_json",
-    "degree_report",
-    "dendrogram_to_json",
-    "distance_report",
-    "domain_overlap",
-    "er_baseline",
-    "export_network",
-    "fit_power_law",
-    "fit_with_gof",
-    "generate",
-    "giant_component",
-    "gof_pvalue",
-    "hurwitz_zeta",
-    "is_strict_subclass",
-    "load_collection",
-    "load_ontology",
-    "make_ontology",
-    "match_params",
-    "modularity",
-    "parse_description",
-    "partition_to_csv",
-    "planted_partition",
-    "read_edgelist",
-    "read_graphml",
-    "transitivity",
-    "trim_isolates",
-    "walktrap",
-    "weak_components",
-    "write_collection_tree",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

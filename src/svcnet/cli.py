@@ -33,6 +33,7 @@ from .netbuild import (
     InteractionNetwork,
     build_network,
     export_chunks,
+    looks_like_graphml,
     read_edgelist,
     read_graphml,
     trim_isolates,
@@ -140,7 +141,7 @@ def _metric_block(net: InteractionNetwork, params: AnalysisParams, kind_index: i
     block["power_law"] = _power_law_block(net, params, kind_index)
 
     und_m = len(net.view.pairs)
-    if net.n_nodes >= 2 and und_m >= 1:
+    if und_m >= 1:
         block["small_world"] = asdict(er_baseline(
             n=net.n_nodes,
             m=und_m,
@@ -189,9 +190,7 @@ def analyze_network(
         "links_total": net.n_edges,
         "isolated_fraction": iso_fraction,
         "component_count": len(components.component_sizes),
-        "component_sizes": list(components.component_sizes),
-        "giant_node_fraction": components.giant_node_fraction,
-        "giant_link_fraction": components.giant_link_fraction,
+        **asdict(components),
         "giant": _metric_block(giant, params, kind_index, domains),
     }
     if params.full:
@@ -206,8 +205,7 @@ def _report(schema: str, opts: BuildOptions, params: AnalysisParams, **sections)
         "tool_version": __version__,
         "seed": params.seed,
         "options": {
-            "zero_input_targets": opts.zero_input_targets,
-            "reflexive_subsumption": opts.reflexive_subsumption,
+            **asdict(opts),
             "walk_length": params.walk_length,
             "plfit_boot": params.plfit_boot,
             "er_samples": ER_SAMPLES,
@@ -323,12 +321,12 @@ def _load_ontology_arg(path) -> Ontology | None:
 
 
 def _load_network_file(path: Path) -> tuple[InteractionNetwork, dict[str, str] | None]:
-    """GraphML when the text starts with ``<`` (as for ontologies), else an edge list."""
+    """GraphML or an edge list, as :func:`~svcnet.netbuild.looks_like_graphml` tells."""
     try:
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    if text.lstrip("\ufeff \t\r\n").startswith("<"):
+    if looks_like_graphml(text):
         return read_graphml(text)
     return read_edgelist(text), None
 

@@ -317,11 +317,11 @@ def planted_partition(
     width = len(str(n - 1))
     nodes = tuple(f"n{i:0{width}d}" for i in range(n))
     blocks = {nodes[i]: i // block_size for i in range(n)}
-    edges = set()
+    edges = []
     for i in range(n):
         for j in range(i + 1, n):
             p = p_in if blocks[nodes[i]] == blocks[nodes[j]] else p_out
             if rng.random() < p:
-                edges.add((nodes[i], nodes[j]))
+                edges.append((nodes[i], nodes[j]))
     net = InteractionNetwork(nodes=nodes, edges=edges)
     return net, blocks

@@ -35,12 +35,9 @@ class MatcherKind(enum.Enum):
             raise UsageError(f"unknown matcher {name!r} (expected one of: {valid})") from None
 
 
-ALL_KINDS: tuple[MatcherKind, ...] = (
-    MatcherKind.EQUAL,
-    MatcherKind.EXACT,
-    MatcherKind.PLUGIN,
-    MatcherKind.SUBSUME,
-)
+# Definition order is the reports' column order and each network's seed index
+# (``cli._KIND_INDEX``).
+ALL_KINDS: tuple[MatcherKind, ...] = tuple(MatcherKind)
 
 
 def match_params(

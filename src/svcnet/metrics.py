@@ -28,6 +28,8 @@ from .netbuild import InteractionNetwork, component_labels
 
 @dataclass(frozen=True)
 class ComponentReport:
+    """Field order is the report's key order: the CLI renders ``asdict`` of this."""
+
     component_sizes: tuple[int, ...]
     giant_node_fraction: float
     giant_link_fraction: float
@@ -246,8 +248,8 @@ def er_baseline(
     if samples < 1:
         raise UsageError("samples must be >= 1")
 
-    mean_degree = 2 * m / n if n else 0.0
-    estimate = math.log(n) / math.log(mean_degree) if mean_degree > 1 and n > 1 else None
+    mean_degree = 2 * m / n
+    estimate = math.log(n) / math.log(mean_degree) if mean_degree > 1 else None
 
     means: list[float] = []
     for s in range(samples):
@@ -281,7 +283,7 @@ def er_baseline(
 
 
 def _er_sample_average_distance(n: int, m: int, rng: np.random.Generator) -> float | None:
-    if m == 0 or n < 2:
+    if m == 0:
         return None
     picks = rng.choice(n * (n - 1) // 2, size=m, replace=False)
     # Decode linear indices of the strict upper triangle, row-major: row i
@@ -295,8 +297,6 @@ def _er_sample_average_distance(n: int, m: int, rng: np.random.Generator) -> flo
     labels = component_labels(n, a, b)
     in_giant = labels == np.bincount(labels).argmax()
     size = int(np.count_nonzero(in_giant))
-    if size < 2:
-        return None
     index = np.cumsum(in_giant) - 1
     kept = in_giant[a]
     a, b = index[a[kept]], index[b[kept]]

@@ -40,7 +40,7 @@ EXPORT_CHUNK_LINES = 4096
 
 @dataclass(frozen=True)
 class BuildOptions:
-    """Switches for the under-specified edge cases, recorded into reports.
+    """Switches for the under-specified edge cases, recorded into reports in field order.
 
     ``zero_input_targets=False`` denies incoming links to operations whose
     input set is empty: the vacuous forall would otherwise make them universal
@@ -224,7 +224,8 @@ def build_network(
     ops = sorted(coll.operations(), key=lambda op: op.op_id)
     ids = tuple(op.op_id for op in ops)
     if len(set(ids)) != len(ids):
-        raise SvcnetError("operation ids are not unique within the collection")
+        duplicate = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise SvcnetError(f"duplicate operation id {duplicate!r} in the collection")
 
     producers: dict[str, set[int]] = {}
     for i, op in enumerate(ops):
@@ -341,16 +342,24 @@ def _links(net: InteractionNetwork) -> Iterator[tuple[int, int]]:
                        dst[k:k + EXPORT_CHUNK_LINES].tolist())
 
 
+def looks_like_graphml(text: str) -> bool:
+    """Whether a network file's text is GraphML: it starts with ``<`` after
+    byte-order marks and whitespace.  Anything else is read as an edge list."""
+    return text.lstrip("\ufeff \t\r\n").startswith("<")
+
+
 def _check_edgelist(net: InteractionNetwork) -> None:
     """Refuse the first link whose ``src<TAB>dst`` line :func:`read_edgelist`
     could not read back (a tab or line break in an id, an empty id, a line it
-    would skip as blank or as a comment)."""
+    would skip as blank or as a comment), or, as the first line, one that would
+    be read as GraphML or lose a leading byte-order mark."""
     ids = net.ids
-    for s, d in _links(net):
+    for k, (s, d) in enumerate(_links(net)):
         src, dst = ids[s], ids[d]
         line = f"{src}\t{dst}"
         if (line.splitlines() != [line] or line.split("\t") != [src, dst] or not (src and dst)
-                or not line.strip() or line.lstrip().startswith("#")):
+                or not line.strip() or line.lstrip().startswith("#")
+                or k == 0 and (line.startswith("\ufeff") or looks_like_graphml(line))):
             raise SvcnetError(f"link ({src!r}, {dst!r}) cannot be written as an edge-list "
                               "line; export GraphML instead")
 
@@ -462,12 +471,12 @@ def read_graphml(text: str) -> tuple[InteractionNetwork, dict[str, str] | None]:
             if key_names.get(data.get("key", "")) == "domain" and data.text:
                 domains[node_id] = data.text
 
-    edges = set()
+    edges = []
     for edge in graph.findall(f"{{{GRAPHML_NS}}}edge"):
         src, dst = edge.get("source"), edge.get("target")
         if src is None or dst is None:
             raise SvcnetError("GraphML edge without source/target")
-        edges.add((src, dst))
+        edges.append((src, dst))
 
     kind_value = graph_attrs.get("kind", "")
     opts = BuildOptions(
@@ -484,7 +493,7 @@ def read_graphml(text: str) -> tuple[InteractionNetwork, dict[str, str] | None]:
 
 def read_edgelist(text: str) -> InteractionNetwork:
     """Parse sorted ``src<TAB>dst`` lines; nodes are the endpoint union."""
-    edges = set()
+    edges = []
     nodes = set()
     for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -495,5 +504,5 @@ def read_edgelist(text: str) -> InteractionNetwork:
         src, dst = fields
         nodes.update((src, dst))
         if src != dst:
-            edges.add((src, dst))
+            edges.append((src, dst))
     return InteractionNetwork(nodes=nodes, edges=edges)

@@ -634,8 +634,13 @@ def _graphml(kind: str, body: str) -> str:
         ("export", _graphml("bogus", '<node id="a"/><node id="b"/>')),
         ("analyze", _graphml("equal", '<node id="a"/><edge source="a" target="a"/>')),
         ("export", _graphml("equal", '<node id="a"/><node id="a"/>')),
+        ("export", '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"/>'),
+        ("export", _graphml("equal", '<node/>')),
+        ("export", _graphml("equal", '<node id="a"/><node id="b"/><edge source="a"/>')),
+        ("export", _graphml("equal", '<node id="a"/><node id="b"/><edge target="b"/>')),
     ],
-    ids=["undeclared-target", "bogus-kind", "self-loop", "duplicate-node"],
+    ids=["undeclared-target", "bogus-kind", "self-loop", "duplicate-node", "no-graph",
+         "node-without-id", "edge-without-target", "edge-without-source"],
 )
 def test_invalid_graphml_is_an_error_not_a_traceback(capsys, tmp_path, command, document):
     net_file = tmp_path / "bad.graphml"
@@ -658,6 +663,37 @@ def test_export_edgelist_refuses_an_id_it_cannot_read_back(capsys, tmp_path):
     assert "'a\\tx'" in err
     code, out, _ = run(capsys, "export", str(net_file), "--format", "graphml")
     assert code == 0 and 'id="a&#9;x"' in out
+
+
+def test_edgelist_lines_after_the_first_may_start_with_a_bracket_or_a_byte_order_mark(
+        capsys, tmp_path):
+    # Only the first line decides whether the loader reads GraphML, and only
+    # the file's first character can be taken for a byte-order mark.
+    net_file = tmp_path / "net.graphml"
+    net_file.write_text(_graphml("equal", '<node id="0"/><node id="&lt;c"/><node id="\ufeffd"/>'
+                                          '<edge source="0" target="&lt;c"/>'
+                                          '<edge source="&lt;c" target="\ufeffd"/>'
+                                          '<edge source="\ufeffd" target="0"/>'), encoding="utf-8")
+    tsv = tmp_path / "net.tsv"
+    assert run(capsys, "export", str(net_file), "--format", "edgelist", "-o", str(tsv))[0] == 0
+    assert tsv.read_text(encoding="utf-8") == "0\t<c\n<c\t\ufeffd\n\ufeffd\t0\n"
+    code, out, _ = run(capsys, "export", str(tsv), "--format", "edgelist")
+    assert code == 0 and out == tsv.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["extract", "compare"])
+def test_operation_ids_that_two_services_share_are_an_error(capsys, tmp_path, command):
+    # Service x::y with operation op1 and service x with operation y::op1 are
+    # both x::y::op1.
+    coll = tmp_path / "coll"
+    coll.mkdir()
+    (coll / "a.wsdl").write_text(FIG1_WSDL.replace('service name="figure1"', 'service name="x::y"'))
+    (coll / "b.wsdl").write_text(FIG1_WSDL.replace('service name="figure1"', 'service name="x"')
+                                 .replace('operation name="op1"', 'operation name="y::op1"'))
+    args = ["--matcher", "equal"] if command == "extract" else ["--plfit-boot", "0"]
+    code, out, err = run(capsys, command, str(coll), *args)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: duplicate operation id 'x::y::op1' in the collection"
 
 
 @pytest.mark.parametrize("command", ["extract", "export"])

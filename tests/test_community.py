@@ -407,6 +407,13 @@ def test_best_partition_of_hand_made_dendrogram(name, two_triangle_bridge):
                for groups in combos)
 
 
+def test_best_partition_refuses_a_dendrogram_that_does_not_cover_the_network(
+        two_triangle_bridge):
+    dend = Dendrogram(trees=(DendroTree(("t0", "t1", "t2", "t3", "t4"), ()),))
+    with pytest.raises(SvcnetError, match="does not cover the network's nodes"):
+        best_partition(dend, two_triangle_bridge)
+
+
 # ---------------------------------------------------------------------------
 # Domain overlap
 # ---------------------------------------------------------------------------

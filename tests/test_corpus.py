@@ -105,6 +105,16 @@ def test_model_reference_populates_concept():
     assert out.concept is None
 
 
+def test_model_reference_that_urlsplit_refuses_is_dropped_with_a_warning():
+    # urlsplit raises ValueError on an unclosed IPv6 bracket.
+    assert not corpus._is_absolute_iri("http://[::1")
+    doc = SAWSDL_ANNOTATED.replace(b"http://ex.org/onto#Book", b"http://[::1")
+    parsed = parse_description(doc, "v6.wsdl")
+    (inp,) = find_op(parsed, "lookup").inputs
+    assert inp.concept is None
+    assert "v6.wsdl: modelReference 'http://[::1' is not an absolute IRI; dropped" in parsed.warnings
+
+
 def test_multi_iri_model_reference_keeps_first_and_warns():
     doc = SAWSDL_ANNOTATED.replace(
         b'sawsdl:modelReference="http://ex.org/onto#Book"',
@@ -590,6 +600,15 @@ def test_manifest_assigns_domains(tmp_path):
     assert coll.domain_of_operation()["BookPrice::getPrice"] == "travel"
 
 
+def test_manifest_that_is_not_an_object_is_ignored_with_a_warning(tmp_path):
+    write_fixture(tmp_path, "a.wsdl", GETPRICE_WSDL)
+    (tmp_path / "manifest.json").write_text(json.dumps(["a.wsdl", "travel"]))
+    coll = load_collection(tmp_path)
+    assert [w for w in coll.warnings if "manifest" in w] == [
+        f"{tmp_path / 'manifest.json'}: manifest must be a JSON object; ignored"]
+    assert set(coll.domain_of_operation().values()) == {None}
+
+
 def test_empty_directory_is_an_error(tmp_path):
     with pytest.raises(UsageError, match="no descriptions found"):
         load_collection(tmp_path)
@@ -651,11 +670,19 @@ DUMP = {"schema": corpus.COLLECTION_SCHEMA, "services": [
     {**DUMP, "services": [{"operations": []}]},
     {**DUMP, "services": 5},
     {**DUMP, "services": [{"name": "s", "operations": [{"name": "op", "inputs": [{"name": ""}]}]}]},
-], ids=["list", "service-without-name", "services-not-a-list", "empty-parameter-name"])
+    {**DUMP, "services": [{"name": "s", "operations": [{"name": "op", "inputs": [
+        {"name": "x", "xsd_type": "a"}, {"name": "x", "xsd_type": "b"}]}]}]},
+], ids=["list", "service-without-name", "services-not-a-list", "empty-parameter-name",
+        "repeated-input"])
 def test_malformed_collection_dump_is_a_corpus_error(doc):
     assert collection_from_json(json.dumps(DUMP)).services[0].operations[0].inputs
     with pytest.raises(CorpusError, match="invalid collection dump: "):
         collection_from_json(json.dumps(doc))
+
+
+def test_collection_dump_of_an_unknown_schema_is_a_corpus_error():
+    with pytest.raises(CorpusError, match="unsupported collection schema: 'svcnet-other/1'"):
+        collection_from_json(json.dumps({**DUMP, "schema": "svcnet-other/1"}))
 
 
 def test_parameter_desc_validation():

@@ -23,6 +23,7 @@ from svcnet.netbuild import (
     escape,
     export_chunks,
     export_network,
+    looks_like_graphml,
     quoteattr,
     read_edgelist,
     read_graphml,
@@ -250,7 +251,7 @@ def test_edgelist_round_trip_loses_only_metadata(fig1_collection):
 @pytest.mark.parametrize(
     "edge",
     [("a\tx", "b"), ("a", "b\nc"), ("a", "b\r"), ("a", "b\u2028"), ("", "b"), ("#a", "b"),
-     (" #a", "b"), (" ", "\u3000")],
+     (" #a", "b"), (" ", "\u3000"), ("\ufeffa", "b"), ("<a", "b"), (" <a", "b")],
 )
 def test_edgelist_export_refuses_links_it_cannot_read_back(edge):
     with pytest.raises(SvcnetError, match="edge-list"):
@@ -442,5 +443,12 @@ def test_mutated_edgelist_reads_or_raises_an_svcnet_error(text):
     try:
         net = read_edgelist(text)
     except SvcnetError:
+        return
+    # The links are written sorted; a first line that the CLI loader would read
+    # as GraphML or strip a byte-order mark from is refused.
+    first = "\t".join(min(net.edges, default=("a", "b")))
+    if first.startswith("\ufeff") or looks_like_graphml(first):
+        with pytest.raises(SvcnetError, match="edge-list"):
+            export_network(net, "edgelist")
         return
     assert read_edgelist(export_network(net, "edgelist")).edges == net.edges
