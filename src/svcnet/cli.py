@@ -33,12 +33,11 @@ from .netbuild import (
     InteractionNetwork,
     build_network,
     export_chunks,
-    looks_like_graphml,
     read_edgelist,
     read_graphml,
     trim_isolates,
 )
-from .ontology import Ontology, load_ontology
+from .ontology import Ontology, load_ontology, sniff_xml
 
 REPORT_SCHEMA = "svcnet-report/1"
 COMPARE_SCHEMA = "svcnet-compare/1"
@@ -321,13 +320,13 @@ def _load_ontology_arg(path) -> Ontology | None:
 
 
 def _load_network_file(path: Path) -> tuple[InteractionNetwork, dict[str, str] | None]:
-    """GraphML or an edge list, as :func:`~svcnet.netbuild.looks_like_graphml` tells."""
+    """GraphML or an edge list, as :func:`~svcnet.ontology.sniff_xml` tells."""
     try:
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    if looks_like_graphml(text):
-        return read_graphml(text)
+    if (xml := sniff_xml(text)) is not None:
+        return read_graphml(xml)
     return read_edgelist(text), None
 
 
@@ -341,7 +340,10 @@ def _build_options(args) -> BuildOptions:
                         reflexive_subsumption=args.reflexive_subsumption)
 
 
-def _resolve_build_inputs(args) -> tuple[MatcherKind, Ontology]:
+def _build_from_flags(args, collection) -> tuple[InteractionNetwork, dict[str, str | None]]:
+    """The network of ``collection`` under ``--matcher`` and the build flags, and
+    its operations' domains.  The ontology is loaded and the flags checked
+    before the collection is read."""
     kind = MatcherKind.from_name(args.matcher)
     onto = _load_ontology_arg(args.ontology)
     if kind in (MatcherKind.PLUGIN, MatcherKind.SUBSUME) and onto is None:
@@ -352,7 +354,8 @@ def _resolve_build_inputs(args) -> tuple[MatcherKind, Ontology]:
             "by identity only",
             file=sys.stderr,
         )
-    return kind, onto if onto is not None else Ontology.empty()
+    coll = _load_collection_arg(collection)
+    return build_network(coll, kind, onto, _build_options(args)), coll.domain_of_operation()
 
 
 def _write_output(chunks: Iterable[str], output: str | None) -> None:
@@ -377,10 +380,8 @@ def _write_output(chunks: Iterable[str], output: str | None) -> None:
 
 
 def cmd_extract(args) -> int:
-    kind, onto = _resolve_build_inputs(args)
-    coll = _load_collection_arg(args.collection)
-    net = build_network(coll, kind, onto, _build_options(args))
-    _write_output(export_chunks(net, args.format, coll.domain_of_operation()), args.output)
+    net, domains = _build_from_flags(args, args.collection)
+    _write_output(export_chunks(net, args.format, domains), args.output)
     return 0
 
 
@@ -392,10 +393,7 @@ def cmd_analyze(args) -> int:
     if target.is_dir():
         if not args.matcher:
             raise UsageError("analyzing a collection directory requires --matcher")
-        kind, onto = _resolve_build_inputs(args)
-        coll = _load_collection_arg(target)
-        net = build_network(coll, kind, onto, _build_options(args))
-        domains = coll.domain_of_operation()
+        net, domains = _build_from_flags(args, target)
     else:
         if not target.exists():
             raise UsageError(f"no such file or directory: {target}")

@@ -333,15 +333,14 @@ def domain_overlap(partition: Partition, domains: dict[str, str | None]) -> Doma
         return DomainOverlap(available=False, contingency=(), purity=None)
 
     counts: dict[tuple[int, str], int] = {}
-    for node in sorted(partition.assignment):
-        key = (partition.assignment[node], labeled[node] or "(none)")
+    for node, community in partition.assignment.items():
+        key = (community, labeled[node] or "(none)")
         counts[key] = counts.get(key, 0) + 1
 
     best_per_community: dict[int, int] = {}
     for (community, _), count in counts.items():
         best_per_community[community] = max(best_per_community.get(community, 0), count)
-    total = len(partition.assignment)
-    purity = sum(best_per_community.values()) / total if total else None
+    purity = sum(best_per_community.values()) / len(partition.assignment)
 
     table = tuple(
         (community, domain, counts[(community, domain)])

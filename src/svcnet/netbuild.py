@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from .corpus import ServiceCollection
 from .errors import SvcnetError, UsageError
 from .matcher import MatcherKind
-from .ontology import Ontology
+from .ontology import Ontology, sniff_xml
 
 if TYPE_CHECKING:
     import numpy as np
@@ -117,7 +117,7 @@ class InteractionNetwork:
         if len(index) != len(ids):
             duplicate = next(a for a, b in zip(ids, ids[1:]) if a == b)
             raise ValueError(f"duplicate node id {duplicate!r}")
-        n = max(len(ids), 1)
+        n = len(ids)
         keys = set()
         for src, dst in edges:
             if src == dst:
@@ -275,13 +275,9 @@ def build_network(
 
 
 def trim_isolates(net: InteractionNetwork) -> tuple[InteractionNetwork, float]:
-    """Drop total-degree-0 nodes; return the trimmed network and the removed
-    fraction of the original nodes."""
-    import numpy as np
-
-    linked = np.zeros(net.n_nodes, dtype=bool)
-    linked[net.src] = linked[net.dst] = True
-    trimmed = net.keep_components(linked)
+    """Drop the nodes with no link (undirected degree 0 in the network's view);
+    return the trimmed network and the removed fraction of the original nodes."""
+    trimmed = net.keep_components(net.view.und_deg > 0)
     return trimmed, (net.n_nodes - trimmed.n_nodes) / (net.n_nodes or 1)
 
 
@@ -342,12 +338,6 @@ def _links(net: InteractionNetwork) -> Iterator[tuple[int, int]]:
                        dst[k:k + EXPORT_CHUNK_LINES].tolist())
 
 
-def looks_like_graphml(text: str) -> bool:
-    """Whether a network file's text is GraphML: it starts with ``<`` after
-    byte-order marks and whitespace.  Anything else is read as an edge list."""
-    return text.lstrip("\ufeff \t\r\n").startswith("<")
-
-
 def _check_edgelist(net: InteractionNetwork) -> None:
     """Refuse the first link whose ``src<TAB>dst`` line :func:`read_edgelist`
     could not read back (a tab or line break in an id, an empty id, a line it
@@ -359,7 +349,7 @@ def _check_edgelist(net: InteractionNetwork) -> None:
         line = f"{src}\t{dst}"
         if (line.splitlines() != [line] or line.split("\t") != [src, dst] or not (src and dst)
                 or not line.strip() or line.lstrip().startswith("#")
-                or k == 0 and (line.startswith("\ufeff") or looks_like_graphml(line))):
+                or k == 0 and (line.startswith("\ufeff") or sniff_xml(line) is not None)):
             raise SvcnetError(f"link ({src!r}, {dst!r}) cannot be written as an edge-list "
                               "line; export GraphML instead")
 

@@ -139,10 +139,16 @@ def load_ontology(source: str | Path) -> Ontology:
     return parse_ontology(text, str(path))
 
 
+def sniff_xml(text: str) -> str | None:
+    """``text`` from its first ``<`` when only byte-order marks and whitespace
+    come before it, else None: whether an ontology or a network file is XML."""
+    stripped = text.lstrip("\ufeff \t\r\n")
+    return stripped if stripped.startswith("<") else None
+
+
 def parse_ontology(text: str, source: str = "<ontology>") -> Ontology:
-    stripped = text.lstrip("﻿ \t\r\n")
-    if stripped.startswith("<"):
-        edges, warnings = _parse_owl_xml(stripped, source)
+    if (xml := sniff_xml(text)) is not None:
+        edges, warnings = _parse_owl_xml(xml, source)
     else:
         edges, warnings = _parse_edge_list(text.removeprefix("\ufeff"), source)
     return make_ontology(edges, warnings)

@@ -147,12 +147,18 @@ class PowerLawFit:
 
 
 def _clean_samples(samples: Iterable[int]) -> tuple[np.ndarray, int]:
+    """The positive samples sorted as int64, and the number of zeros.  Floats
+    are taken when they are close to integers in int64's range; strings,
+    complex numbers and integers beyond int64 are refused."""
     arr = np.asarray(list(samples))
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind == "f":
         rounded = np.rint(arr)
-        if not np.allclose(arr, rounded):
+        if not (np.all((rounded >= -2.0**63) & (rounded < 2.0**63))
+                and np.allclose(arr, rounded)):
             raise UsageError("power-law fitting expects integer samples")
-        arr = rounded.astype(np.int64)
+        arr = rounded
+    elif arr.dtype.kind not in "biu" or arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise UsageError("power-law fitting expects integer samples")
     arr = arr.astype(np.int64, copy=False)
     if np.any(arr < 0):
         raise UsageError("power-law fitting expects non-negative samples")

@@ -284,6 +284,13 @@ def test_analyze_negative_seed_is_usage_error(capsys, fig1_dir):
     assert "--seed" in err
 
 
+def test_analyze_negative_plfit_boot_is_usage_error(capsys, fig1_dir):
+    code, out, err = run(capsys, "analyze", str(fig1_dir), "--matcher", "equal",
+                         "--plfit-boot", "-1")
+    assert (code, out) == (2, "")
+    assert "--plfit-boot" in err
+
+
 def test_analyze_missing_path(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nothing.graphml"))
     assert code == 2
@@ -357,6 +364,26 @@ def test_compare_csv_projection(capsys, gen_dir, tmp_path):
     assert lines[0] == "property,equal,exact,plugin,subsume"
     assert any(line.startswith("modularity,") for line in lines)
     assert report_to_csv(json.loads(out)) == csv_path.read_text()
+
+
+def test_csv_projection_refuses_an_analysis_report(capsys, fig1_dir):
+    code, out, err = run(capsys, "analyze", str(fig1_dir), "--matcher", "equal",
+                         "--plfit-boot", "0")
+    assert code == 0, err
+    with pytest.raises(svcnet.UsageError, match="needs a comparison report"):
+        report_to_csv(json.loads(out))
+
+
+def test_compare_with_every_giant_empty_has_no_smallest_distances(capsys, tmp_path):
+    # One operation: no network has a link, so no giant has a distance.
+    coll, onto, _ = generate(GenSpec(n_services=1, ops_per_service=1, seed=2))
+    src = write_collection_tree(coll, onto, tmp_path / "one-op")
+    code, out, err = run(capsys, "compare", str(src), "--ontology", str(src / "ontology.tsv"),
+                         "--plfit-boot", "0")
+    assert code == 0, err
+    comparison = json.loads(out)["comparison"]
+    assert comparison["empty_networks"] == ["equal", "exact", "plugin", "subsume"]
+    assert comparison["smallest_diameter"] == comparison["smallest_average_distance"] == []
 
 
 def test_component_above_the_walktrap_limit_is_usage_error(capsys, gen_dir, monkeypatch):
@@ -581,6 +608,14 @@ def test_report_floats_carry_six_significant_digits(capsys, tmp_path):
     assert doc["x"] == 1.23457
     assert doc["y"] == [0.1]
     assert doc["n"] == 3
+
+
+def test_report_writes_undefined_floats_as_null():
+    from svcnet.cli import render_report
+
+    rendered = render_report({"nan": float("nan"), "inf": [float("inf"), -float("inf")]})
+    assert json.loads(rendered) == {"nan": None, "inf": [None, None]}
+    assert "NaN" not in rendered and "Infinity" not in rendered
 
 
 # ---------------------------------------------------------------------------
@@ -962,3 +997,35 @@ def test_byte_order_mark_is_not_part_of_the_input(capsys, tmp_path, name, text, 
 )
 def test_text_readers_drop_a_leading_byte_order_mark(parse, text):
     assert parse("\ufeff" + text) == parse(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{graphml}", "--plfit-boot", "0"),
+        ("export", "{graphml}", "--format", "graphml"),
+        ("extract", "{coll}", "--matcher", "subsume", "--ontology", "{owl}"),
+    ],
+    ids=["analyze-graphml", "export-graphml", "extract-owl-ontology"],
+)
+def test_whitespace_before_the_xml_declaration_is_not_part_of_the_input(
+        capsys, gen_dir, tmp_path, argv):
+    # Network files and ontologies share one sniff, and their parser reads
+    # from the first "<".
+    graphml = tmp_path / "net.graphml"
+    code, _, err = run(capsys, "extract", str(gen_dir), "--matcher", "subsume",
+                       "--ontology", str(gen_dir / "ontology.tsv"), "-o", str(graphml))
+    assert code == 0, err
+    owl = '<?xml version="1.0" encoding="UTF-8"?>\n' + owl_from_tsv(gen_dir / "ontology.tsv")
+    outputs = []
+    for lead in ("", "\n"):
+        inputs = tmp_path / f"lead{len(lead)}"
+        inputs.mkdir()
+        (inputs / "net.graphml").write_text(lead + graphml.read_text(encoding="utf-8"),
+                                            encoding="utf-8")
+        (inputs / "onto.owl").write_text(lead + owl, encoding="utf-8")
+        code, out, err = run(capsys, *[a.format(coll=gen_dir, graphml=inputs / "net.graphml",
+                                                owl=inputs / "onto.owl") for a in argv])
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] and outputs[0] == outputs[1]

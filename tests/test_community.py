@@ -274,6 +274,12 @@ def test_single_community_modularity_is_zero(two_triangle_bridge, k4):
     assert modularity(k4, single_community(k4)).q == 0.0
 
 
+def test_edgeless_network_modularity_is_zero():
+    net = InteractionNetwork(nodes=["a", "b", "c"])
+    part = Partition(assignment={"a": 0, "b": 1, "c": 1}, community_count=2)
+    assert modularity(net, part).q == 0.0
+
+
 def test_two_triangle_bridge_clique_partition(two_triangle_bridge):
     part = Partition(
         assignment={"t0": 0, "t1": 0, "t2": 0, "t3": 1, "t4": 1, "t5": 1},

@@ -153,6 +153,36 @@ def test_operation_without_io_warned_but_kept():
     assert any("neither inputs nor outputs" in w for w in parsed.warnings)
 
 
+GETPRICE_OPERATION = b"""<wsdl:operation name="getPrice">
+      <wsdl:input message="tns:getPriceRequest"/>
+      <wsdl:output message="tns:getPriceResponse"/>
+    </wsdl:operation>"""
+
+
+@pytest.mark.parametrize("edits, warning, service", [
+    ([(GETPRICE_OPERATION, GETPRICE_OPERATION * 2)],
+     "odd.wsdl: duplicate operation 'getPrice' kept once", "BookPrice"),
+    ([(b'<wsdl:service name="BookPrice"/>',
+       b'<wsdl:service name="BookPrice"/><wsdl:service name="Other"/>')],
+     "odd.wsdl: multiple service elements; using the first", "BookPrice"),
+    ([(b'<wsdl:input message="tns:getPriceRequest"/>', b"<wsdl:input/>")],
+     "odd.wsdl: getPrice: input/output without message", "BookPrice"),
+    ([(b'<wsdl:part name="book" element="tns:book"/>', b'<wsdl:part name="book"/>')],
+     "odd.wsdl: getPrice: part 'book' has neither element nor type", "BookPrice"),
+    ([(b'<wsdl:service name="BookPrice"/>', b""), (b'name="BookPrice" ', b"")], None, "odd"),
+], ids=["duplicate-operation", "two-services", "input-without-message",
+        "part-without-element-or-type", "service-named-from-file-stem"])
+def test_structural_oddities_are_warnings_not_errors(edits, warning, service):
+    doc = GETPRICE_WSDL
+    for old, new in edits:
+        assert doc.count(old) == 1
+        doc = doc.replace(old, new)
+    parsed = parse_description(doc, "odd.wsdl")
+    assert parsed.warnings == ((warning,) if warning else ())
+    assert [svc.name for svc in parsed.services] == [service]
+    assert [op.op_id for op in parsed.services[0].operations] == [f"{service}::getPrice"]
+
+
 WRAPPER_WSDL = b"""<?xml version="1.0" encoding="UTF-8"?>
 <wsdl:definitions name="Orders" targetNamespace="http://ex.org/orders"
     xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"

@@ -306,6 +306,14 @@ def test_er_closed_form_undefined_for_sparse_graphs():
     assert report.er_estimate is None
 
 
+def test_er_without_links_has_no_sampled_distance():
+    report = er_baseline(5, 0, samples=3, seed=0, observed_average=2.0)
+    assert (report.er_nodes, report.er_links, report.samples) == (5, 0, 3)
+    assert report.er_estimate is None
+    assert report.er_sampled_mean is None and report.er_sampled_stddev is None
+    assert report.ratio_observed_to_sampled is None
+
+
 def test_er_is_deterministic_per_seed():
     a = er_baseline(50, 120, samples=4, seed=9, observed_average=2.0)
     b = er_baseline(50, 120, samples=4, seed=9, observed_average=2.0)

@@ -23,13 +23,12 @@ from svcnet.netbuild import (
     escape,
     export_chunks,
     export_network,
-    looks_like_graphml,
     quoteattr,
     read_edgelist,
     read_graphml,
     trim_isolates,
 )
-from svcnet.ontology import Ontology
+from svcnet.ontology import Ontology, sniff_xml
 
 
 def test_fig1_equal_network(fig1_collection):
@@ -215,6 +214,13 @@ def test_graphml_domain_keeps_its_carriage_returns():
     domains = {"a": "x\ry", "b": "\r\n\t"}
     text = export_network(make_net([("a", "b")]), "graphml", domains=domains)
     assert read_graphml(text)[1] == domains
+
+
+def test_graphml_round_trip_of_an_id_with_both_quote_characters():
+    net = make_net([("it's \"quoted\"", "plain")])
+    text = export_network(net, "graphml")
+    assert '<node id="it\'s &quot;quoted&quot;"/>' in text
+    assert read_graphml(text) == (net, None)
 
 
 XML_TEXT = st.text(st.sampled_from("&<>\"'\n\r\t ;#xé")
@@ -447,7 +453,7 @@ def test_mutated_edgelist_reads_or_raises_an_svcnet_error(text):
     # The links are written sorted; a first line that the CLI loader would read
     # as GraphML or strip a byte-order mark from is refused.
     first = "\t".join(min(net.edges, default=("a", "b")))
-    if first.startswith("\ufeff") or looks_like_graphml(first):
+    if first.startswith("\ufeff") or sniff_xml(first) is not None:
         with pytest.raises(SvcnetError, match="edge-list"):
             export_network(net, "edgelist")
         return

@@ -132,6 +132,27 @@ def test_invalid_inputs_are_usage_errors():
         fit_power_law([1.5, 2.5])
 
 
+FIT_OF_1_TO_6 = PowerLawFit(alpha=1.5, xmin=1, ks=0.5, n_tail=6, zeros_removed=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0**70, -2.0**70, 2.0**63,
+                                 2**70, 2**63, "3", 1 + 0j, None])
+@pytest.mark.parametrize("call", [
+    fit_power_law,
+    lambda samples: gof_pvalue(FIT_OF_1_TO_6, samples, n_boot=100),
+    lambda samples: log_likelihood(samples, 2.0, 1),
+], ids=["fit_power_law", "gof_pvalue", "log_likelihood"])
+def test_samples_that_are_not_int64_integers_are_refused_as_such(call, bad):
+    with pytest.raises(UsageError, match="expects integer samples"):
+        call([1, 2, 3, 4, 5, 6, bad])
+
+
+def test_the_largest_int64_is_an_integer_sample():
+    assert fit_power_law([1, 1, 2, 3, 2**63 - 1]).zeros_removed == 0
+    assert math.isfinite(log_likelihood([1, 2, 2**63 - 1], 2.0, 1))
+
+
 def test_zeros_are_removed_and_counted():
     samples = [0, 0, 1, 2, 3, 1, 1, 0, 2]
     fit = fit_power_law(samples)
