@@ -23,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SvcnetError, UsageError
-from .netbuild import InteractionNetwork
+from .netbuild import InteractionNetwork, per_block
 
-# Largest weak component Walktrap takes.  Its peak is ``matrix_power``'s: the
-# dense float64 transition and walk matrices and a temporary, about 3 x 8 n^2
-# bytes (some 600 MB at this limit).  The merges then hold the walk and cost
-# matrices, 16 n^2 bytes, and the best cut its link counts, 4 n^2 bytes.
+# Largest weak component Walktrap takes.  It holds two dense float64 n x n
+# matrices at a time, 16 n^2 bytes (some 400 MB at this limit): at the default
+# t = 4, and any power of two, the walk power keeps one factor and its product
+# (:func:`_walk_matrix`; other t keep a third), and the merges the walk and
+# cost matrices, beside one block of gathered rows of at most
+# ``netbuild.KERNEL_BYTES``.  The best cut holds its link counts, 4 n^2 bytes.
 WALKTRAP_MAX_NODES = 5000
 
 
@@ -121,9 +123,33 @@ def check_walktrap_limit(net: InteractionNetwork) -> None:
     if n_nodes > WALKTRAP_MAX_NODES:
         raise UsageError(
             f"walktrap takes components of at most {WALKTRAP_MAX_NODES} nodes "
-            f"(its walk matrix power peaks at about 24 bytes x n^2, and its merges "
-            f"hold 16 bytes x n^2); this one has {n_nodes}"
+            f"(at the default walk length, its walk matrix power and its merges "
+            f"each hold about 16 bytes x n^2); this one has {n_nodes}"
         )
+
+
+def _walk_matrix(a: np.ndarray, b: np.ndarray, deg: np.ndarray, t: int) -> np.ndarray:
+    """P^t for the transition matrix P of the undirected pairs ``a``/``b``.
+
+    The products are ``np.linalg.matrix_power``'s, in its order (binary
+    decomposition from the lowest bit, but ``(P P) P`` at t = 3), so every
+    entry has its bits.  Each factor is dropped once no later product reads
+    it, so when t is a power of two no more than two matrices are live.
+    """
+    n = len(deg)
+    z = np.zeros((n, n), dtype=np.float64)
+    z[a, b] = 1.0 / deg[a]
+    z[b, a] = 1.0 / deg[b]
+    if t == 3:
+        return (z @ z) @ z
+    result = None
+    while True:
+        t, bit = divmod(t, 2)
+        if bit:
+            result = z if result is None else result @ z
+        if t == 0:
+            return result
+        z = z @ z
 
 
 def _walktrap_component(
@@ -142,24 +168,28 @@ def _walktrap_component(
         return DendroTree(leaves=leaves, merges=())
 
     deg = np.bincount(np.concatenate([a, b]), minlength=n)
-    trans = np.zeros((n, n), dtype=np.float64)
-    trans[a, b] = 1.0 / deg[a]
-    trans[b, a] = 1.0 / deg[b]
-    walk = np.linalg.matrix_power(trans, t)
-    del trans
+    walk = _walk_matrix(a, b, deg, t)
     inv_deg = 1.0 / deg
 
     # Per row: the community's size and local id (leaves 0..n-1, then n+i).
     size = np.ones(n, dtype=np.int64)
     ids = list(range(n))
 
+    # Rows gathered at once from the walk or cost matrix: a hub's costs and
+    # rescans hold one block of them, within the kernels' byte budget, beside
+    # the two matrices.
+    block = per_block(8 * n)
+
     def costs(row: int, others: np.ndarray) -> np.ndarray:
-        diff = walk[others]
-        diff -= walk[row]
-        diff *= diff
-        diff *= inv_deg
+        sums = np.empty(len(others))
+        for lo in range(0, len(others), block):
+            diff = walk[others[lo:lo + block]]
+            diff -= walk[row]
+            diff *= diff
+            diff *= inv_deg
+            sums[lo:lo + block] = diff.sum(axis=1)
         s, s_other = size[row], size[others]
-        return s * s_other / (s + s_other) * diff.sum(axis=1) / n
+        return s * s_other / (s + s_other) * sums / n
 
     # Each leaf's costs to its higher neighbours; the pairs come sorted, a < b.
     cost = np.full((n, n), np.inf)
@@ -201,7 +231,9 @@ def _walktrap_component(
         best = np.minimum(rowmin[others], merged)
         rowmin[others] = best
         rescan = others[best == nearest[others]]
-        rowmin[rescan] = cost[rescan].min(axis=1)
+        for lo in range(0, len(rescan), block):
+            rows = rescan[lo:lo + block]
+            rowmin[rows] = cost[rows].min(axis=1)
     return DendroTree(leaves=leaves, merges=tuple(merges))
 
 

@@ -6,10 +6,12 @@ with hub/authority rankings, and the Erdos-Renyi small-world baseline.
 
 All of them read the network's integer links (``src``/``dst``) and its
 cached view of derived arrays (:attr:`InteractionNetwork.view`).  Distances
-come from a bit-parallel BFS run from every node at once, one bit per source
-in ``(n, ceil(n/64))`` uint64 bitsets; it counts the pairs each level reaches
-and stores no distance matrix.  Triangles are popcounts of the common
-neighbours of each link's ends, on packed neighbour rows of the same shape.
+come from a bit-parallel BFS run from up to 64 sources per uint64 word, one
+bit per source in ``(n, words)`` bitsets; it counts the pairs each level
+reaches and stores no distance matrix.  Triangles are popcounts of the common
+neighbours of each link's ends, on packed ``(n, ceil(n/64))`` neighbour rows.
+Both kernels run in blocks of source words or of links whose temporaries fit
+one byte budget, :data:`~svcnet.netbuild.KERNEL_BYTES`.
 Averages are taken over reachable ordered pairs only and the excluded count
 is reported, so the convention is auditable.  Weak connectivity is used for
 components throughout.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .netbuild import InteractionNetwork, component_labels
+from .netbuild import InteractionNetwork, component_labels, per_block
 
 
 @dataclass(frozen=True)
@@ -75,46 +77,57 @@ class SmallWorldReport:
 # ---------------------------------------------------------------------------
 
 
-def _bit_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """An ``(n, ceil(n/64))`` uint64 bitset with bit ``cols[k]`` of row
-    ``rows[k]`` set: row v's word ``j >> 6`` holds column j at bit ``j & 63``."""
-    bits = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-    np.bitwise_or.at(bits, (rows, cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
-    return bits
+def _set_bits(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit ``cols[k]`` of row ``rows[k]`` of the uint64 bitset ``bits``:
+    row v's word ``j >> 6`` holds column j at bit ``j & 63``."""
+    step = per_block(64)  # the indices, the words and the shifted bits
+    for lo in range(0, len(rows), step):
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        np.bitwise_or.at(bits, (r, c >> 6), np.uint64(1) << (c & 63).astype(np.uint64))
 
 
 def _distance_totals(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, int, int]:
     """Reachable ordered pairs, the sum of their distances and the diameter
     of the digraph on nodes ``0..n-1`` with links ``src[k] -> dst[k]``.
 
-    Multi-source BFS from every node at once (Then et al., "The More the
-    Merrier", PVLDB 8(4), 2014), one bit per source: row v of ``seen`` holds
-    the sources that have reached v, row v of ``frontier`` those that reached
-    it at the last level.  A level ORs the frontier rows of each node's
-    in-link sources, masks off the seen bits and popcounts the rest, so one
-    word operation advances 64 searches.  Repeated links and self-loops add
-    nothing.  Each level adds its newly reached pairs to the totals, so no
-    distance matrix is stored.
+    Multi-source BFS (Then et al., "The More the Merrier", PVLDB 8(4),
+    2014), one bit per source: row v of ``seen`` holds the sources that have
+    reached v, row v of ``frontier`` those that reached it at the last level.
+    A level ORs the frontier rows of each node's in-link sources, masks off
+    the seen bits and popcounts the rest, so one word operation advances 64
+    searches.  Repeated links and self-loops add nothing.  Each level adds
+    its newly reached pairs to the totals, so no distance matrix is stored.
+    The sources run in blocks of words whose level gather, one word per link
+    and per block word, fits the kernels' byte budget; the diameter is the
+    deepest block's.
     """
     order = np.argsort(dst, kind="stable")
     tails = src[order]
     heads, starts = np.unique(dst[order], return_index=True)
-    nodes = np.arange(n)
-    seen = _bit_rows(n, nodes, nodes)
-    frontier = seen.copy()
-    pairs = total = level = 0
-    while True:
-        reached = np.bitwise_or.reduceat(frontier[tails], starts, axis=0)
-        reached &= ~seen[heads]
-        count = int(np.bitwise_count(reached).sum())
-        if count == 0:
-            return pairs, total, level
-        level += 1
-        pairs += count
-        total += level * count
-        seen[heads] |= reached
-        frontier[...] = 0
-        frontier[heads] = reached
+    del order
+    words = -(-n // 64)
+    step = per_block(8 * (len(tails) + n))
+    pairs = total = diameter = 0
+    for w0 in range(0, words, step):
+        sources = np.arange(64 * w0, min(n, 64 * (w0 + step)))
+        seen = np.zeros((n, min(step, words - w0)), dtype=np.uint64)
+        _set_bits(seen, sources, sources - 64 * w0)
+        frontier = seen.copy()
+        level = 0
+        while True:
+            reached = np.bitwise_or.reduceat(frontier[tails], starts, axis=0)
+            reached &= ~seen[heads]
+            count = int(np.bitwise_count(reached).sum())
+            if count == 0:
+                break
+            level += 1
+            pairs += count
+            total += level * count
+            seen[heads] |= reached
+            frontier[...] = 0
+            frontier[heads] = reached
+        diameter = max(diameter, level)
+    return pairs, total, diameter
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +194,18 @@ def transitivity(net: InteractionNetwork) -> float:
     if triples == 0:
         return 0.0
     a, b = view.pairs.T
-    neighbours = _bit_rows(len(deg), np.concatenate((a, b)), np.concatenate((b, a)))
+    neighbours = np.zeros((len(deg), -(-len(deg) // 64)), dtype=np.uint64)
+    _set_bits(neighbours, a, b)
+    _set_bits(neighbours, b, a)
     # Each triangle closes a 2-path across each of its three links: a common
-    # neighbour of the link's ends.
-    closed = int(np.bitwise_count(neighbours[a] & neighbours[b]).sum())
+    # neighbour of the link's ends.  The links run in blocks whose two row
+    # gathers fit the budget.
+    step = per_block(16 * neighbours.shape[1])
+    closed = 0
+    for lo in range(0, len(a), step):
+        common = neighbours[a[lo:lo + step]]
+        common &= neighbours[b[lo:lo + step]]
+        closed += int(np.bitwise_count(common).sum())
     return float(closed) / triples
 
 

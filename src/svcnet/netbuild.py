@@ -37,6 +37,12 @@ EXPORT_FORMATS = ("graphml", "dot", "edgelist")
 # few hundred kilobytes of text whatever the network's size.
 EXPORT_CHUNK_LINES = 4096
 
+# Byte budget of one block of the dense kernels' temporaries: the distance
+# BFS's per-level gather, the triangle count's row gathers, the index arrays
+# that set bits and Walktrap's gathered rows.  Each kernel splits its work
+# into blocks that fit (:func:`per_block`).
+KERNEL_BYTES = 8 << 20
+
 
 @dataclass(frozen=True)
 class BuildOptions:
@@ -50,6 +56,12 @@ class BuildOptions:
 
     zero_input_targets: bool = False
     reflexive_subsumption: bool = False
+
+
+def per_block(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` bytes one block of :data:`KERNEL_BYTES`
+    holds, at least one."""
+    return max(1, KERNEL_BYTES // max(1, item_bytes))
 
 
 def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

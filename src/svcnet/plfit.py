@@ -148,13 +148,14 @@ class PowerLawFit:
 
 def _clean_samples(samples: Iterable[int]) -> tuple[np.ndarray, int]:
     """The positive samples sorted as int64, and the number of zeros.  Floats
-    are taken when they are close to integers in int64's range; strings,
-    complex numbers and integers beyond int64 are refused."""
+    are taken when they are within 1e-8 of integers in int64's range (an
+    absolute tolerance, so ``100000.5`` is refused); strings, complex numbers
+    and integers beyond int64 are refused."""
     arr = np.asarray(list(samples))
     if arr.dtype.kind == "f":
         rounded = np.rint(arr)
         if not (np.all((rounded >= -2.0**63) & (rounded < 2.0**63))
-                and np.allclose(arr, rounded)):
+                and np.allclose(arr, rounded, rtol=0.0)):
             raise UsageError("power-law fitting expects integer samples")
         arr = rounded
     elif arr.dtype.kind not in "biu" or arr.size and arr.max() > np.iinfo(np.int64).max:

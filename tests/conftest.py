@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import io
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -158,6 +159,16 @@ def count_triangles_and_triples(net: InteractionNetwork) -> tuple[int, int]:
         d = len(adj[u])
         triples += d * (d - 1) // 2
     return triangles, triples
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def modularity_by_counting(net: InteractionNetwork, groups: list[set[str]]) -> float:

@@ -10,9 +10,10 @@ from conftest import (
     modularity_by_counting,
     reference_best_tree_cut,
     reference_walktrap_component,
+    traced_peak,
     undirected,
 )
-from svcnet import community
+from svcnet import community, netbuild
 from svcnet.community import (
     Dendrogram,
     DendroTree,
@@ -99,7 +100,7 @@ def test_walktrap_refuses_a_component_above_the_node_limit(two_triangle_bridge, 
         raise AssertionError("the walk matrix was built before the size check")
 
     monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 5)
-    monkeypatch.setattr(np.linalg, "matrix_power", no_walk)
+    monkeypatch.setattr(community, "_walk_matrix", no_walk)
     with pytest.raises(UsageError, match=r"at most 5 nodes.*this one has 6"):
         walktrap(two_triangle_bridge)
 
@@ -110,7 +111,7 @@ def test_walktrap_refuses_an_over_limit_component_before_building_any_tree(monke
 
     monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 5)
     monkeypatch.setattr(community, "_walktrap_component", no_tree)
-    monkeypatch.setattr(np.linalg, "matrix_power", no_tree)
+    monkeypatch.setattr(community, "_walk_matrix", no_tree)
     # The 4-node component comes first in label order.
     net = undirected([(f"a{i}", f"a{i + 1}") for i in range(3)]
                      + [(f"b{i}", f"b{i + 1}") for i in range(6)])
@@ -258,6 +259,52 @@ def test_walktrap_matches_the_heap_reference_on_random_graphs(first_seed, monkey
 @pytest.mark.parametrize("name", sorted(TIE_GRAPHS))
 def test_walktrap_matches_the_heap_reference_on_tied_graphs(name, monkeypatch):
     assert_matches_heap_reference(undirected(TIE_GRAPHS[name]), monkeypatch)
+
+
+@pytest.mark.parametrize("graph", ["star40", "bipartite4x9", "grid5x8", "random"])
+def test_walktrap_gathers_one_row_at_a_time_like_the_heap_reference(graph, monkeypatch):
+    monkeypatch.setattr(netbuild, "KERNEL_BYTES", 8)
+    if graph == "random":
+        for seed in range(10):
+            assert_matches_heap_reference(random_network(seed), monkeypatch)
+    else:
+        assert_matches_heap_reference(undirected(TIE_GRAPHS[graph]), monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_matrix_is_matrix_power_bit_for_bit(seed):
+    # t = 5..8 keep both the running result and the squared factor.
+    net = random_network(seed)
+    a, b = net.view.pairs.T
+    deg = net.view.und_deg
+    trans = np.zeros((net.n_nodes, net.n_nodes))
+    trans[a, b] = 1.0 / deg[a]
+    trans[b, a] = 1.0 / deg[b]
+    for t in range(1, 9):
+        walk = community._walk_matrix(a, b, deg, t)
+        assert walk.tobytes() == np.linalg.matrix_power(trans, t).tobytes(), f"t = {t}"
+
+
+@pytest.mark.parametrize("hub", [False, True], ids=["chords", "hub"])
+def test_walktrap_holds_two_dense_matrices_at_a_time(hub, monkeypatch):
+    # One connected component of 1000 nodes: a path plus random chords, and a
+    # hub linked to every node in one case.  The walk power used to hold P,
+    # P^2 and P^4 at once, 24 bytes x n^2, and a hub's costs and rescans each
+    # gathered another n x n.  Now a hub's gathers add one block of the
+    # budget, set here below the default's 8 MiB, which is n^2 bytes at n = 1000.
+    monkeypatch.setattr(netbuild, "KERNEL_BYTES", 1 << 20)
+    n = 1000
+    rng = np.random.default_rng(3)
+    ids = [f"v{i:04d}" for i in range(n)]
+    ends = np.concatenate((np.stack((np.arange(n - 1), np.arange(1, n)), axis=1),
+                           rng.integers(0, n, (3 * n, 2))))
+    pairs = {(ids[i], ids[j]) for i, j in ends.tolist() if i != j}
+    if hub:
+        pairs |= {(ids[0], ids[i]) for i in range(1, n)}
+    net = undirected(pairs)
+    net.view
+    peak = traced_peak(lambda: walktrap(net))
+    assert peak <= 18 * n * n + (netbuild.KERNEL_BYTES if hub else 0)
 
 
 # ---------------------------------------------------------------------------

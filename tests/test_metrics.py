@@ -8,8 +8,10 @@ from conftest import (
     count_triangles_and_triples,
     floyd_warshall,
     make_net,
+    traced_peak,
     undirected,
 )
+from svcnet import netbuild
 from svcnet.errors import UsageError
 from svcnet.metrics import (
     _distance_totals,
@@ -21,7 +23,7 @@ from svcnet.metrics import (
     transitivity,
     weak_components,
 )
-from svcnet.netbuild import InteractionNetwork
+from svcnet.netbuild import BuildOptions, InteractionNetwork
 
 
 def random_digraph(n: int, density: float, seed: int) -> InteractionNetwork:
@@ -137,6 +139,42 @@ def test_distance_kernel_matches_per_source_bfs_on_random_digraphs(seed):
         src[0] = dst[0]
         src, dst = np.concatenate((src, src[:m // 3])), np.concatenate((dst, dst[:m // 3]))
     assert _distance_totals(n, src, dst) == naive_distance_totals(n, src.tolist(), dst.tolist())
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("block_words", [1, 2])
+def test_blocked_kernels_match_the_naive_counts(block_words, seed, monkeypatch):
+    # With a budget of one word, each BFS block is one source word, each
+    # triangle block one link and each bit-setting step one entry.  A budget
+    # of two words per link and node gives BFS blocks of two source words.
+    rng = np.random.default_rng(200 + seed)
+    n = int(rng.integers(129, 300))
+    m = int(rng.integers(n, 4 * n))
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    net = random_digraph(int(rng.integers(65, 140)), 0.05, seed)
+    budget = 8 if block_words == 1 else 8 * block_words * (m + n)
+    monkeypatch.setattr(netbuild, "KERNEL_BYTES", budget)
+    assert _distance_totals(n, src, dst) == naive_distance_totals(n, src.tolist(), dst.tolist())
+    triangles, triples = count_triangles_and_triples(net)
+    assert transitivity(net) == 3 * triangles / triples
+
+
+def dense_random_network(n: int, m: int, seed: int) -> InteractionNetwork:
+    """About ``m`` distinct random links on ``n`` nodes, built from int arrays."""
+    rng = np.random.default_rng(seed)
+    src, dst = np.divmod(np.unique(rng.integers(0, n * n, m)), n)
+    keep = src != dst
+    ids = tuple(f"v{i:05d}" for i in range(n))
+    return InteractionNetwork._from_links(ids, src[keep], dst[keep], None, BuildOptions())
+
+
+def test_bitset_kernels_stay_within_the_byte_budget_on_a_dense_graph():
+    # Unblocked, the distance kernel's level gather alone was m * 63 words
+    # (204 MiB here) and the triangle count's two row gathers twice that.
+    net = dense_random_network(4000, 400_000, seed=7)
+    net.view
+    assert traced_peak(lambda: _distance_totals(net.n_nodes, net.src, net.dst)) <= 25 << 20
+    assert traced_peak(lambda: transitivity(net)) <= 25 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ FIT_OF_1_TO_6 = PowerLawFit(alpha=1.5, xmin=1, ks=0.5, n_tail=6, zeros_removed=0
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.0**70, -2.0**70, 2.0**63,
-                                 2**70, 2**63, "3", 1 + 0j, None])
+                                 2**70, 2**63, "3", 1 + 0j, None, 100000.5, 5.4e6 + 0.5])
 @pytest.mark.parametrize("call", [
     fit_power_law,
     lambda samples: gof_pvalue(FIT_OF_1_TO_6, samples, n_boot=100),
@@ -146,6 +146,10 @@ FIT_OF_1_TO_6 = PowerLawFit(alpha=1.5, xmin=1, ks=0.5, n_tail=6, zeros_removed=0
 def test_samples_that_are_not_int64_integers_are_refused_as_such(call, bad):
     with pytest.raises(UsageError, match="expects integer samples"):
         call([1, 2, 3, 4, 5, 6, bad])
+
+
+def test_floats_within_an_absolute_tolerance_of_integers_are_integer_samples():
+    assert fit_power_law([1, 1, 2, 3.0000000001, 100000.0]) == fit_power_law([1, 1, 2, 3, 100000])
 
 
 def test_the_largest_int64_is_an_integer_sample():
