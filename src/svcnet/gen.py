@@ -27,12 +27,12 @@ from .corpus import (
     ServiceCollection,
     ServiceDesc,
 )
-from .errors import SvcnetError
+from .errors import UsageError
 from .netbuild import InteractionNetwork, quoteattr
 from .ontology import Ontology, make_ontology
 
 
-class GenError(SvcnetError):
+class GenError(UsageError):
     """Invalid generator specification."""
 
 
@@ -41,9 +41,10 @@ class GenSpec:
     """Knobs for the synthetic collection; fully deterministic per seed.
 
     ``name_pool_size`` and ``concept_pool_size`` are per-domain sub-pool
-    sizes.  ``hierarchy_depth`` and ``branching`` bound each domain's concept
-    tree; the pool is filled breadth-first, so pools smaller than the full
-    tree keep the shallow levels.
+    sizes.  Each domain's concepts form a ``branching``-ary tree numbered
+    breadth-first: concept i's parent is concept (i - 1) // branching, so
+    pools smaller than the full tree keep the shallow levels.
+    ``hierarchy_depth`` only bounds the pool, through :meth:`validate`.
     """
 
     n_services: int = 30
@@ -113,8 +114,10 @@ def generate(spec: GenSpec) -> tuple[ServiceCollection, Ontology, GenGroundTruth
     edges: list[tuple[str, str]] = []
     pools: dict[str, DomainPool] = {}
     for dom in domains:
-        concepts, dom_edges = _concept_tree(dom, spec)
-        edges.extend(dom_edges)
+        base = f"http://svcnet.test/onto/{dom}#c"
+        concepts = tuple(f"{base}{i}" for i in range(spec.concept_pool_size))
+        edges.extend((concepts[i], concepts[(i - 1) // spec.branching])
+                     for i in range(1, spec.concept_pool_size))
         names = tuple(f"{dom}_p{i:03d}" for i in range(spec.name_pool_size))
         annotated = tuple(bool(rng.random() < spec.annotation_rate) for _ in names)
         concept_of_name = tuple(
@@ -146,28 +149,6 @@ def generate(spec: GenSpec) -> tuple[ServiceCollection, Ontology, GenGroundTruth
     ontology = make_ontology(edges)
     truth = GenGroundTruth(domain_of_operation=domain_of_op, pools=pools)
     return collection, ontology, truth
-
-
-def _concept_tree(domain: str, spec: GenSpec) -> tuple[tuple[str, ...], list[tuple[str, str]]]:
-    """Breadth-first fill of a balanced tree, child-to-parent edges."""
-    base = f"http://svcnet.test/onto/{domain}#c"
-    concepts = [f"{base}0"]
-    edges: list[tuple[str, str]] = []
-    frontier = [0]
-    level = 0
-    while len(concepts) < spec.concept_pool_size and level < spec.hierarchy_depth:
-        level += 1
-        next_frontier: list[int] = []
-        for parent in frontier:
-            for _ in range(spec.branching):
-                if len(concepts) >= spec.concept_pool_size:
-                    break
-                child = len(concepts)
-                concepts.append(f"{base}{child}")
-                edges.append((f"{base}{child}", f"{base}{parent}"))
-                next_frontier.append(child)
-        frontier = next_frontier
-    return tuple(concepts), edges
 
 
 def _draw_params(

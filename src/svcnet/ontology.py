@@ -9,9 +9,9 @@ small and subsumption queries sit inside the quadratic network build.
 
 from __future__ import annotations
 
-import heapq
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from .errors import SvcnetError
@@ -68,65 +68,41 @@ def make_ontology(
 ) -> Ontology:
     """Build an :class:`Ontology` from (child, parent) pairs.
 
-    Raises :class:`OntologyError` naming one cycle if the relation is not a
-    DAG.  The closure is computed by propagating ancestor sets in topological
-    order, so it is exactly the transitive closure of the edges.
+    Raises :class:`OntologyError` naming one cycle, child to parent, if the
+    relation is not a DAG.  The closure is computed by propagating ancestor
+    sets in ``graphlib``'s topological order, so it is exactly the transitive
+    closure of the edges.  Concepts and parents go in sorted, so the order and
+    the cycle named do not depend on the string hash seed.
     """
     edge_set = frozenset(edges)
-    concepts = frozenset(c for e in edge_set for c in e)
-
-    parents: dict[str, list[str]] = {c: [] for c in concepts}
-    children: dict[str, list[str]] = {c: [] for c in concepts}
+    parents: dict[str, list[str]] = {c: [] for c in sorted({c for e in edge_set for c in e})}
     for child, parent in sorted(edge_set):
         parents[child].append(parent)
-        children[parent].append(child)
 
-    # Topological pass from roots down; a node is ready once all parents are.
-    remaining = {c: len(parents[c]) for c in concepts}
-    queue = sorted(c for c in concepts if remaining[c] == 0)  # a sorted list is a heap
+    try:
+        order = list(TopologicalSorter(parents).static_order())
+    except CycleError as exc:
+        # graphlib lists the cycle parent to child, its first node repeated last.
+        raise OntologyError("subclass cycle: " + " -> ".join(reversed(exc.args[1]))) from exc
     ancestors: dict[str, frozenset[str]] = {}
-    order: list[str] = []
-    while queue:
-        node = heapq.heappop(queue)
-        order.append(node)
-        acc: set[str] = set()
+    for node in order:
+        acc = set(parents[node])
         for p in parents[node]:
-            acc.add(p)
             acc.update(ancestors[p])
         ancestors[node] = frozenset(acc)
-        for c in children[node]:
-            remaining[c] -= 1
-            if remaining[c] == 0:
-                heapq.heappush(queue, c)
 
-    if len(order) != len(concepts):
-        raise OntologyError("subclass cycle: " + _find_cycle(parents, set(order)))
-
-    descendants: dict[str, set[str]] = {c: set() for c in concepts}
-    for child in concepts:
-        for anc in ancestors[child]:
+    descendants: dict[str, set[str]] = {c: set() for c in parents}
+    for child, ancs in ancestors.items():
+        for anc in ancs:
             descendants[anc].add(child)
 
     return Ontology(
-        concepts=concepts,
+        concepts=frozenset(parents),
         subclass_edges=edge_set,
         ancestors_of={c: a for c, a in ancestors.items() if a},
         descendants_of={c: frozenset(d) for c, d in descendants.items() if d},
         warnings=tuple(warnings),
     )
-
-
-def _find_cycle(parents: dict[str, list[str]], done: set[str]) -> str:
-    # Every unfinished node has an unfinished parent; walking parents from one
-    # of them must revisit a node, which closes a cycle.
-    start = sorted(c for c in parents if c not in done)[0]
-    seen: list[str] = []
-    node = start
-    while node not in seen:
-        seen.append(node)
-        node = sorted(p for p in parents[node] if p not in done)[0]
-    cycle = seen[seen.index(node):] + [node]
-    return " -> ".join(cycle)
 
 
 def load_ontology(source: str | Path) -> Ontology:

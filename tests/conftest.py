@@ -2,9 +2,9 @@
 independent oracles (Floyd-Warshall distances, naive pairwise network build,
 brute-force triangle and modularity counters, a power-law sampler on scipy's
 Hurwitz zeta, the eager power-law sampling table and zeta tail formula, a
-heap-driven Walktrap and a link-table best cut, the WSDL parse that resolves
-every reference where it is used), and a text-mutation strategy for fuzzing
-the readers."""
+heap-driven Walktrap and a link-table best cut, the generator's breadth-first
+concept tree, the WSDL parse that resolves every reference where it is used),
+and a text-mutation strategy for fuzzing the readers."""
 
 from __future__ import annotations
 
@@ -354,6 +354,35 @@ def reference_best_tree_cut(
     for pos, (c1, c2, _) in enumerate(tree.merges[:best_t]):
         members[n + pos] = members.pop(c1) + members.pop(c2)
     return [sorted(g) for g in members.values()], gains[best_t]
+
+
+# ---------------------------------------------------------------------------
+# Reference generator concept tree
+# ---------------------------------------------------------------------------
+
+
+def reference_concept_tree(domain: str, spec) -> tuple[tuple[str, ...], list[tuple[str, str]]]:
+    """``gen._concept_tree`` before concepts were listed by index: a
+    breadth-first fill of a balanced tree, level by level up to
+    ``spec.hierarchy_depth``, with child-to-parent edges."""
+    base = f"http://svcnet.test/onto/{domain}#c"
+    concepts = [f"{base}0"]
+    edges: list[tuple[str, str]] = []
+    frontier = [0]
+    level = 0
+    while len(concepts) < spec.concept_pool_size and level < spec.hierarchy_depth:
+        level += 1
+        next_frontier: list[int] = []
+        for parent in frontier:
+            for _ in range(spec.branching):
+                if len(concepts) >= spec.concept_pool_size:
+                    break
+                child = len(concepts)
+                concepts.append(f"{base}{child}")
+                edges.append((f"{base}{child}", f"{base}{parent}"))
+                next_frontier.append(child)
+        frontier = next_frontier
+    return tuple(concepts), edges
 
 
 # ---------------------------------------------------------------------------

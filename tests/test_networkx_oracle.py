@@ -3,13 +3,16 @@
 Random digraphs with isolated nodes and many small components exercise the
 component order, the giant, directed distances, transitivity and the
 modularity of the chosen Walktrap cut.  The Erdos-Renyi baseline is rebuilt
-sample by sample from its documented random streams.
+sample by sample from its documented random streams.  Random concept DAGs
+check the ontology closure, and a planted back edge the cycle it refuses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svcnet.community import best_partition, modularity, walktrap
 from svcnet.metrics import (
@@ -20,6 +23,7 @@ from svcnet.metrics import (
     weak_components,
 )
 from svcnet.netbuild import InteractionNetwork
+from svcnet.ontology import OntologyError, make_ontology
 
 nx = pytest.importorskip("networkx")
 
@@ -105,3 +109,56 @@ def test_er_baseline_matches_networkx(n, m, seed):
     report = er_baseline(n, m, samples=samples, seed=seed)
     assert report.er_sampled_mean == float(np.mean(averages))
     assert report.er_sampled_stddev == float(np.std(averages))
+
+
+# ---------------------------------------------------------------------------
+# Ontology closure
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def concept_dag(draw, min_edges: int = 0) -> list[tuple[str, str]]:
+    """(child, parent) edges of a random DAG of up to 40 concepts whose names
+    sort in an order unrelated to the hierarchy."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    names = [f"http://t/#c{label:02d}" for label in draw(st.permutations(range(n)))]
+    pair = st.integers(0, n - 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
+    pairs = draw(st.lists(pair, min_size=min_edges, max_size=3 * n, unique=True))
+    return [(names[i], names[j]) for i, j in pairs]
+
+
+def concept_graph(edges: list[tuple[str, str]]):
+    graph = nx.DiGraph()
+    graph.add_edges_from(edges)  # child -> parent
+    return graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(concept_dag())
+def test_ontology_closure_matches_networkx(edges):
+    graph = concept_graph(edges)
+    onto = make_ontology(edges)
+    assert onto.concepts == frozenset(graph.nodes)
+    for concept in graph.nodes:
+        assert onto.ancestors(concept) == nx.descendants(graph, concept)
+        assert onto.descendants(concept) == nx.ancestors(graph, concept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(concept_dag(min_edges=1), st.data())
+def test_ontology_cycle_error_names_a_cycle_of_the_input(edges, data):
+    graph = concept_graph(edges)
+    # Plant one back edge: the concept itself or one of its ancestors becomes
+    # a subclass of the concept.
+    concept = data.draw(st.sampled_from(sorted(graph.nodes)))
+    above = data.draw(st.sampled_from(sorted(nx.descendants(graph, concept) | {concept})))
+    cyclic = edges + [(above, concept)]
+    with pytest.raises(OntologyError) as exc:
+        make_ontology(cyclic)
+    prefix = "subclass cycle: "
+    message = str(exc.value)
+    assert message.startswith(prefix)
+    cycle = message.removeprefix(prefix).split(" -> ")
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+    assert set(zip(cycle, cycle[1:])) <= set(cyclic)
