@@ -18,7 +18,10 @@ since leaves are sorted, so runs are reproducible.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -262,14 +265,9 @@ def modularity(net: InteractionNetwork, partition: Partition) -> ModularityScore
         [partition.assignment[node] for node in net.ids], return_inverse=True
     )
     ca, cb = community[view.pairs.T]
-    internal = np.bincount(ca[ca == cb], minlength=len(labels)).tolist()
-    endpoint = np.bincount(np.concatenate((ca, cb)), minlength=len(labels)).tolist()
-    q = 0.0
-    for e_c, d_c in zip(internal, endpoint):
-        if d_c:  # a community without links adds no term
-            a_c = d_c / (2 * m)
-            q += e_c / m - a_c * a_c
-    return ModularityScore(q)
+    internal = np.bincount(ca[ca == cb], minlength=len(labels))
+    ends = np.bincount(np.concatenate((ca, cb)), minlength=len(labels)) / (2 * m)
+    return ModularityScore(float((internal / m - ends * ends).sum()))
 
 
 def best_partition(
@@ -358,27 +356,17 @@ def domain_overlap(partition: Partition, domains: dict[str, str | None]) -> Doma
     operations count under the pseudo-domain ``(none)``; if nothing is
     labeled the overlap is reported unavailable.
     """
-    labeled = {
-        node: domains.get(node) for node in partition.assignment
-    }
-    if not any(v is not None for v in labeled.values()):
+    if all(domains.get(node) is None for node in partition.assignment):
         return DomainOverlap(available=False, contingency=(), purity=None)
 
-    counts: dict[tuple[int, str], int] = {}
-    for node, community in partition.assignment.items():
-        key = (community, labeled[node] or "(none)")
-        counts[key] = counts.get(key, 0) + 1
-
-    best_per_community: dict[int, int] = {}
-    for (community, _), count in counts.items():
-        best_per_community[community] = max(best_per_community.get(community, 0), count)
-    purity = sum(best_per_community.values()) / len(partition.assignment)
-
-    table = tuple(
-        (community, domain, counts[(community, domain)])
-        for community, domain in sorted(counts)
-    )
-    return DomainOverlap(available=True, contingency=table, purity=purity)
+    counts = Counter((community, domains.get(node) or "(none)")
+                     for node, community in partition.assignment.items())
+    table = tuple((community, domain, counts[community, domain])
+                  for community, domain in sorted(counts))
+    best = sum(max(count for _, _, count in rows)
+               for _, rows in groupby(table, key=itemgetter(0)))
+    return DomainOverlap(available=True, contingency=table,
+                         purity=best / len(partition.assignment))
 
 
 # ---------------------------------------------------------------------------

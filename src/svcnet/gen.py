@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    _WSDL_SUFFIXES,
     MANIFEST_NAME,
     OperationDesc,
     ParameterDesc,
@@ -65,6 +66,8 @@ class GenSpec:
                      "concept_pool_size", "hierarchy_depth", "branching"):
             if getattr(self, name) < 1:
                 raise GenError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise GenError("seed must be >= 0")
         for name in ("annotation_rate", "cross_domain_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -168,13 +171,11 @@ def _draw_params(
         if spec.cross_domain_rate and rng.random() < spec.cross_domain_rate:
             source = domains[int(rng.integers(0, len(domains)))]
         pool = pools[source]
-        for _ in range(1000):
+        # validate() keeps n within every pool, so an unused name comes up.
+        idx = int(rng.integers(0, len(pool.names)))
+        while pool.names[idx] in used:
             idx = int(rng.integers(0, len(pool.names)))
-            name = pool.names[idx]
-            if name not in used:
-                break
-        else:
-            raise GenError("could not draw a distinct parameter name; pool too small")
+        name = pool.names[idx]
         used.add(name)
         concept = pool.concept_of_name[idx] if pool.annotated[idx] else None
         params.append(ParameterDesc(name=name, xsd_type="xsd:string", concept=concept))
@@ -190,8 +191,21 @@ def write_collection_tree(
     coll: ServiceCollection, onto: Ontology, out_dir: str | Path
 ) -> Path:
     """Write one SAWSDL-annotated WSDL per service, plus the ontology edge
-    list and the domain manifest."""
+    list and the domain manifest.
+
+    A directory that holds a ``.wsdl``/``.sawsdl`` file this collection would
+    not write is refused before anything is written: loaded with the new
+    files, the stale one would join the collection.  Rewriting the same
+    collection is allowed.
+    """
     out = Path(out_dir)
+    names = {f"{svc.name}.wsdl" for svc in coll.services}
+    if out.is_dir():
+        stale = sorted(p.name for p in out.iterdir()
+                       if p.suffix.lower() in _WSDL_SUFFIXES and p.name not in names)
+        if stale:
+            raise GenError(f"{out} holds descriptions of another collection "
+                           f"({', '.join(stale[:3])}); write to an empty directory")
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict[str, str] = {}
     for svc in coll.services:

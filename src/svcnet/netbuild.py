@@ -13,6 +13,7 @@ numpy is imported by the functions that compute with them.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from array import array
 from collections.abc import Iterable, Iterator
@@ -309,10 +310,12 @@ def export_chunks(
 
     Only GraphML preserves isolated nodes, the matcher kind, the build options
     and (optionally) per-node domain labels; the edge list is just sorted
-    ``src<TAB>dst`` lines.  An unknown format, and an edge list that
-    :func:`read_edgelist` could not read back, raise here, before any piece.
+    ``src<TAB>dst`` lines.  An unknown format, GraphML or an edge list that
+    :func:`read_graphml` or :func:`read_edgelist` could not read back, raise
+    here, before any piece.
     """
     if format == "graphml":
+        _check_graphml(net, domains)
         lines = _graphml_lines(net, domains)
     elif format == "dot":
         lines = _dot_lines(net)
@@ -364,6 +367,22 @@ def _check_edgelist(net: InteractionNetwork) -> None:
                 or k == 0 and (line.startswith("\ufeff") or sniff_xml(line) is not None)):
             raise SvcnetError(f"link ({src!r}, {dst!r}) cannot be written as an edge-list "
                               "line; export GraphML instead")
+
+
+# Characters outside XML 1.0's Char production, which no document can carry,
+# even as a character reference: the C0 controls but tab, LF and CR, the
+# surrogates, U+FFFE and U+FFFF.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _check_graphml(net: InteractionNetwork, domains: dict[str, str | None] | None) -> None:
+    """Refuse the first node id or domain label that GraphML cannot carry."""
+    labels = [label for label in map((domains or {}).get, net.ids) if label is not None]
+    for kind, texts in (("node id", net.ids), ("domain label", labels)):
+        if _NOT_XML_CHAR.search("".join(texts)):
+            bad = next(text for text in texts if _NOT_XML_CHAR.search(text))
+            raise SvcnetError(f"{kind} {bad!r} holds a character that XML cannot carry; "
+                              "export an edge list instead")
 
 
 # Line breaks and tabs in an attribute value would be read back as spaces.

@@ -37,6 +37,7 @@ below 100 of its candidate.
 from __future__ import annotations
 
 import warnings as _warnings
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -295,24 +296,18 @@ def log_likelihood(samples: Iterable[int], alpha: float, xmin: int) -> float:
 
 _TABLE_TAIL_EPS = 1e-9
 _TABLE_MAX = 1 << 21
-
-
-def sample_power_law(
-    alpha: float, xmin: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact inverse-CDF draws from the discrete power law at (alpha, xmin).
-
-    Quantiles inside a CDF table, grown as far as the draws reach, are
-    resolved by binary search; the rare draws beyond its full length fall
-    back to an exact doubling-plus-bisection search on the survival function.
-    A draw of 2^63 or more, which exponents up to about 1.15 produce, raises
-    :class:`DegenerateInputError`.
-    """
-    return _PowerLawTable(alpha, xmin).draw(size, rng)
+# Draws are int64; an exponent near 1 puts some quantiles past this.
+_DRAW_MAX = int(np.iinfo(np.int64).max)
 
 
 class _PowerLawTable:
-    """CDF of the power law at (alpha, xmin), computed only as far as draws read.
+    """Exact inverse-CDF draws from the discrete power law at (alpha, xmin).
+
+    Quantiles inside a CDF table, computed only as far as the draws reach,
+    are resolved by binary search; the rare draws beyond its full length fall
+    back to an exact doubling-plus-bisection search on the survival function.
+    A draw of 2^63 or more, which exponents up to about 1.15 produce, raises
+    :class:`DegenerateInputError`.
 
     The full length is fixed up front: 1024 entries, doubled while the
     survival past the table is above 1e-9, up to 2^21.  The first 1024
@@ -358,33 +353,25 @@ class _PowerLawTable:
         idx = np.searchsorted(self.cdf, u, side="left")
         out = self.xmin + idx
         for pos in np.flatnonzero(idx >= self.length):
-            out[pos] = _tail_quantile(self.alpha, self.xmin, float(u[pos]), self.z_xmin)
+            out[pos] = self._tail_quantile(float(u[pos]))
         return out.astype(np.int64)
 
+    def _tail_quantile(self, u: float) -> int:
+        """Smallest x with P(X <= x) >= u, i.e. zeta(alpha, x+1)/zeta(alpha, xmin) <= 1-u."""
+        target = (1.0 - u) * self.z_xmin
 
-# Draws are int64; an exponent near 1 puts some quantiles past this.
-_DRAW_MAX = int(np.iinfo(np.int64).max)
+        def past(x: int) -> bool:
+            return hurwitz_zeta(self.alpha, float(x + 1)) <= target
 
-
-def _tail_quantile(alpha: float, xmin: int, u: float, z_xmin: float) -> int:
-    # Smallest x with P(X <= x) >= u, i.e. zeta(alpha, x+1)/zeta(alpha, xmin) <= 1-u.
-    target = (1.0 - u) * z_xmin
-    hi = max(2 * xmin, 2)
-    while hurwitz_zeta(alpha, float(hi + 1)) > target:
-        if hi >= _DRAW_MAX:
-            raise DegenerateInputError(
-                f"power law with alpha={float(alpha)!r} draws values of 2^63 or more; "
-                "cannot sample it (alpha is too close to 1)"
-            )
-        hi = min(2 * hi, _DRAW_MAX)
-    lo = xmin
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if hurwitz_zeta(alpha, float(mid + 1)) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+        hi = 2 * self.xmin
+        while not past(hi):
+            if hi >= _DRAW_MAX:
+                raise DegenerateInputError(
+                    f"power law with alpha={float(self.alpha)!r} draws values of 2^63 or "
+                    "more; cannot sample it (alpha is too close to 1)"
+                )
+            hi = min(2 * hi, _DRAW_MAX)
+        return self.xmin + bisect_left(range(self.xmin, hi), True, key=past)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +391,9 @@ def gof_pvalue(
 ) -> float | None:
     """Semiparametric bootstrap p-value for ``fit`` against ``samples``.
 
-    Replicate r uses its own RNG stream derived from (seed, r), so serial and
-    parallel evaluation orders agree.  ``n_boot=0`` skips the test entirely.
+    Replicate r uses its own RNG stream derived from (seed, r), so the
+    chunking of replicates does not change the p-value.  ``n_boot=0`` skips
+    the test entirely.
     """
     if n_boot < 0:
         raise UsageError("n_boot must be >= 0")

@@ -1,10 +1,11 @@
 """Shared fixtures: analytic graphs, the worked three-operation example, and
 independent oracles (Floyd-Warshall distances, naive pairwise network build,
 brute-force triangle and modularity counters, a power-law sampler on scipy's
-Hurwitz zeta, the eager power-law sampling table and zeta tail formula, a
-heap-driven Walktrap and a link-table best cut, the generator's breadth-first
-concept tree, the WSDL parse that resolves every reference where it is used),
-and a text-mutation strategy for fuzzing the readers."""
+Hurwitz zeta, the eager power-law sampling table, its exact tail search and
+the zeta tail formula, a heap-driven Walktrap and a link-table best cut, the
+generator's breadth-first concept tree, the WSDL parse that resolves every
+reference where it is used), and a text-mutation strategy for fuzzing the
+readers."""
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from svcnet.corpus import (
     ServiceCollection,
     ServiceDesc,
 )
-from svcnet.errors import UsageError
+from svcnet.errors import DegenerateInputError, UsageError
 from svcnet.matcher import MatcherKind, match_params
 from svcnet.netbuild import BuildOptions, InteractionNetwork
 
@@ -235,8 +236,29 @@ def reference_draw(
     idx = np.searchsorted(cdf, u, side="left")
     out = xmin + idx
     for pos in np.flatnonzero(idx >= cdf.size):
-        out[pos] = plfit._tail_quantile(alpha, xmin, float(u[pos]), z_xmin)
+        out[pos] = reference_tail_quantile(alpha, xmin, float(u[pos]), z_xmin)
     return out.astype(np.int64)
+
+
+def reference_tail_quantile(alpha: float, xmin: int, u: float, z_xmin: float) -> int:
+    """Smallest x with zeta(alpha, x+1)/zeta(alpha, xmin) <= 1-u, by doubling
+    and a hand-written bisection; a quantile of 2^63 or more raises
+    :class:`DegenerateInputError`."""
+    target = (1.0 - u) * z_xmin
+    draw_max = int(np.iinfo(np.int64).max)
+    hi = max(2 * xmin, 2)
+    while plfit.hurwitz_zeta(alpha, float(hi + 1)) > target:
+        if hi >= draw_max:
+            raise DegenerateInputError(f"alpha={alpha!r} draws values of 2^63 or more")
+        hi = min(2 * hi, draw_max)
+    lo = xmin
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if plfit.hurwitz_zeta(alpha, float(mid + 1)) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def reference_zeta_tail(s: np.ndarray, x: np.ndarray) -> np.ndarray:

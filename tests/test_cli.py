@@ -654,6 +654,7 @@ def test_gen_writes_loadable_collection(capsys, tmp_path):
     ("--services", "0"),
     ("--annotation-rate", "2"),
     ("--max-inputs", "99"),
+    ("--seed", "-1"),
 ])
 def test_gen_bad_flag_value_is_usage_error(capsys, tmp_path, flag, value):
     out_dir = tmp_path / "cli-gen"
@@ -662,6 +663,20 @@ def test_gen_bad_flag_value_is_usage_error(capsys, tmp_path, flag, value):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+def test_gen_into_another_corpus_is_usage_error(capsys, tmp_path):
+    out_dir = tmp_path / "c"
+    assert run(capsys, "gen", str(out_dir), "--services", "6")[0] == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    code, out, err = run(capsys, "gen", str(out_dir), "--services", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "svc003.wsdl" in err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    # The same corpus again is written over itself.
+    assert run(capsys, "gen", str(out_dir), "--services", "6")[0] == 0
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_export_converts_graphml_to_dot(capsys, fig1_dir, tmp_path):
@@ -743,6 +758,27 @@ def test_edgelist_lines_after_the_first_may_start_with_a_bracket_or_a_byte_order
     assert tsv.read_text(encoding="utf-8") == "0\t<c\n<c\t\ufeffd\n\ufeffd\t0\n"
     code, out, _ = run(capsys, "export", str(tsv), "--format", "edgelist")
     assert code == 0 and out == tsv.read_text(encoding="utf-8")
+
+
+def test_export_graphml_refuses_an_id_xml_cannot_carry(capsys, tmp_path):
+    tsv = tmp_path / "ctl.tsv"
+    tsv.write_text("a\x01b\tc\n")
+    out_file = tmp_path / "ctl.graphml"
+    code, out, err = run(capsys, "export", str(tsv), "--format", "graphml", "-o", str(out_file))
+    assert code == 1 and out == ""
+    assert err == "error: node id 'a\\x01b' holds a character that XML cannot carry; " \
+                  "export an edge list instead\n"
+    assert not out_file.exists()
+
+
+def test_extract_graphml_refuses_a_domain_xml_cannot_carry(capsys, fig1_dir, tmp_path):
+    (fig1_dir / "manifest.json").write_text(json.dumps({"figure1.wsdl": "d\u0001x"}))
+    out_file = tmp_path / "net.graphml"
+    code, out, err = run(capsys, "extract", str(fig1_dir), "--matcher", "equal",
+                         "-o", str(out_file))
+    assert code == 1 and out == ""
+    assert "domain label 'd\\x01x'" in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("command", ["extract", "compare"])

@@ -63,6 +63,17 @@ def test_pool_too_small_is_an_error():
         GenSpec(annotation_rate=1.5).validate()
 
 
+@pytest.mark.parametrize("seed", [2, 7, 17])
+def test_an_operation_may_draw_its_whole_name_pool(seed):
+    # Each input set takes all 500 names of the pool; drawing with
+    # replacement until an unused name comes up always finds one.
+    spec = GenSpec(n_services=1, ops_per_service=1, n_domains=1, name_pool_size=500,
+                   inputs_per_op=(500, 500), outputs_per_op=(1, 1), seed=seed)
+    coll, _, _ = generate(spec)
+    (op,) = coll.operations()
+    assert len({p.name for p in op.inputs}) == 500
+
+
 @pytest.mark.parametrize("depth, branching, pool", [
     (3, 3, 20),   # below the capacity of 40
     (3, 3, 40),   # at it
@@ -113,6 +124,15 @@ def test_manifest_carries_domains(tmp_path):
     write_collection_tree(coll, onto, tmp_path)
     loaded = load_collection(tmp_path)
     assert {svc.domain for svc in loaded.services} == {"d0", "d1"}
+
+
+@pytest.mark.parametrize("name", ["other.wsdl", "OTHER.WSDL", "x.SaWsdl"])
+def test_writing_refuses_any_description_it_would_not_write(tmp_path, name):
+    (tmp_path / name).write_text("stale\n")
+    coll, onto, _ = generate(GenSpec(n_services=2, seed=0))
+    with pytest.raises(GenError, match=name):
+        write_collection_tree(coll, onto, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_networks_from_written_tree_match_in_memory_build(tmp_path):

@@ -223,6 +223,45 @@ def test_graphml_round_trip_of_an_id_with_both_quote_characters():
     assert read_graphml(text) == (net, None)
 
 
+@pytest.mark.parametrize("node", ["\x00", "a\x01", "\x1f", "x\ufffe", "\uffff"])
+def test_graphml_export_refuses_an_id_xml_cannot_carry(node):
+    with pytest.raises(SvcnetError, match="node id .* XML cannot carry"):
+        export_chunks(make_net([("a", "b")], nodes=[node]), "graphml")
+
+
+def test_graphml_export_refuses_a_domain_label_xml_cannot_carry():
+    net = make_net([("a", "b")])
+    with pytest.raises(SvcnetError, match="domain label 'x\\\\x0by'"):
+        export_chunks(net, "graphml", {"a": "ok", "b": "x\x0by"})
+    # A label of a node the network does not hold is not written, so not read.
+    assert read_graphml(export_network(net, "graphml", {"a": "ok", "z": "\x0b"})) == (
+        net, {"a": "ok"})
+
+
+def _not_xml_char(c: str) -> bool:
+    return (ord(c) < 0x20 and c not in "\t\n\r") or 0xD800 <= ord(c) <= 0xDFFF \
+        or c in "\ufffe\uffff"
+
+
+EDGELIST_IDS = st.text(st.sampled_from("\x00\x01\x08\x0b\x1f\x7f\x85\ufffe\uffff <&\"'#ab")
+                       | st.characters(), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(EDGELIST_IDS, EDGELIST_IDS), min_size=1, max_size=4))
+def test_an_edge_list_exports_to_graphml_that_reads_back_or_is_refused(pairs):
+    try:
+        net = read_edgelist("".join(f"{a}\t{b}\n" for a, b in pairs))
+    except SvcnetError:
+        return
+    try:
+        text = export_network(net, "graphml")
+    except SvcnetError:
+        assert any(_not_xml_char(c) for node in net.nodes for c in node)
+        return
+    assert read_graphml(text) == (net, None)
+
+
 XML_TEXT = st.text(st.sampled_from("&<>\"'\n\r\t ;#xé")
                    | st.characters(blacklist_categories=("Cs",)), max_size=12)
 

@@ -10,6 +10,7 @@ from conftest import (
     oracle_power_law_sample,
     reference_draw,
     reference_power_law_table,
+    reference_tail_quantile,
     reference_zeta_tail,
 )
 from svcnet import plfit
@@ -21,7 +22,6 @@ from svcnet.plfit import (
     gof_pvalue,
     hurwitz_zeta,
     log_likelihood,
-    sample_power_law,
 )
 
 
@@ -193,7 +193,7 @@ def test_alpha_stays_above_one():
 
 def test_sampler_matches_target_tail_probabilities():
     rng = np.random.default_rng(11)
-    draws = sample_power_law(2.5, 1, 200_000, rng)
+    draws = plfit._PowerLawTable(2.5, 1).draw(200_000, rng)
     z1 = scipy_zeta(2.5, 1)
     for x in (2, 3, 5):
         expected = scipy_zeta(2.5, x) / z1
@@ -202,8 +202,8 @@ def test_sampler_matches_target_tail_probabilities():
 
 
 def test_sampler_is_deterministic():
-    a = sample_power_law(2.0, 2, 50, np.random.default_rng(1))
-    b = sample_power_law(2.0, 2, 50, np.random.default_rng(1))
+    a = plfit._PowerLawTable(2.0, 2).draw(50, np.random.default_rng(1))
+    b = plfit._PowerLawTable(2.0, 2).draw(50, np.random.default_rng(1))
     assert np.array_equal(a, b)
     assert a.min() >= 2
 
@@ -211,9 +211,9 @@ def test_sampler_is_deterministic():
 def test_sampler_validates_parameters():
     rng = np.random.default_rng(0)
     with pytest.raises(UsageError):
-        sample_power_law(1.0, 1, 5, rng)
+        plfit._PowerLawTable(1.0, 1).draw(5, rng)
     with pytest.raises(UsageError):
-        sample_power_law(2.0, 0, 5, rng)
+        plfit._PowerLawTable(2.0, 0).draw(5, rng)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +229,8 @@ def test_sampler_draws_as_the_eager_table(alpha, xmin, length, past_end):
     assert cdf.size == length
     expected = reference_draw(cdf, z_xmin, alpha, xmin, 5000, np.random.default_rng(0))
     assert np.count_nonzero(expected >= xmin + length) == past_end
-    assert sample_power_law(alpha, xmin, 5000, np.random.default_rng(0)).tolist() == expected.tolist()
+    got = plfit._PowerLawTable(alpha, xmin).draw(5000, np.random.default_rng(0))
+    assert got.tolist() == expected.tolist()
 
     # As the bootstrap uses it: one table, many draws from one stream.
     table = plfit._PowerLawTable(alpha, xmin)
@@ -244,10 +245,30 @@ def test_sampler_draws_as_the_eager_table(alpha, xmin, length, past_end):
     assert table.cdf.tobytes() == cdf.tobytes()
 
 
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.5, 9.24])
+@pytest.mark.parametrize("xmin", [1, 3, 99])
+def test_tail_quantile_matches_the_reference_search(alpha, xmin):
+    table = plfit._PowerLawTable(alpha, xmin)
+    # Besides fixed quantiles, draws past the full table where a double
+    # below 1 reaches there.
+    past_end = 1.0 - hurwitz_zeta(alpha, float(xmin + table.length)) / table.z_xmin
+    us = [0.5, 0.999, 1 - 1e-9, 1 - 1e-12]
+    us += [u for u in past_end + (1.0 - past_end) * np.random.default_rng(0).random(4)
+           if past_end < u < 1.0]
+    for u in us:
+        try:
+            expected = reference_tail_quantile(alpha, xmin, u, table.z_xmin)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError, match=f"alpha={alpha}"):
+                table._tail_quantile(u)
+        else:
+            assert table._tail_quantile(u) == expected
+
+
 @pytest.mark.parametrize("alpha", [1.01, 1.05, 1.15])
 def test_sampler_refuses_draws_past_int64(alpha):
     with pytest.raises(DegenerateInputError, match=f"alpha={alpha}"):
-        sample_power_law(alpha, 1, 5000, np.random.default_rng(0))
+        plfit._PowerLawTable(alpha, 1).draw(5000, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +319,7 @@ def test_gof_refuses_a_fit_whose_draws_pass_int64():
 def test_gof_holds_no_full_sampling_table():
     # An exponent near 2 has a 2^21-entry (16 MiB) table, of which the
     # draws read a few thousand entries.
-    d = sample_power_law(2.1, 1, 150, np.random.default_rng(5))
+    d = plfit._PowerLawTable(2.1, 1).draw(150, np.random.default_rng(5))
     fit = fit_power_law(d)
     tracemalloc.start()
     try:
