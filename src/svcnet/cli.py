@@ -232,7 +232,7 @@ def compare_collection(
     effective_onto = onto if onto is not None else Ontology.empty()
     built = [build_network(coll, kind, effective_onto, opts) for kind in ALL_KINDS]
     for net in built:
-        check_walktrap_limit(net)
+        check_walktrap_limit(net, params.walk_length)
     networks = {kind.value: analyze_network(net, params, domains)
                 for kind, net in zip(ALL_KINDS, built)}
     return _report(
@@ -405,7 +405,7 @@ def cmd_analyze(args) -> int:
                              f"not to the network file {target}")
         net, domains = _load_network_file(target)
 
-    check_walktrap_limit(net)
+    check_walktrap_limit(net, params.walk_length)
     report = _report(REPORT_SCHEMA, net.options, params,
                      network=analyze_network(net, params, domains))
     _write_output([render_report(report)], args.output)

@@ -28,12 +28,14 @@ import numpy as np
 from .errors import SvcnetError, UsageError
 from .netbuild import InteractionNetwork, per_block
 
-# Largest weak component Walktrap takes.  It holds two dense float64 n x n
-# matrices at a time, 16 n^2 bytes (some 400 MB at this limit): at the default
-# t = 4, and any power of two, the walk power keeps one factor and its product
-# (:func:`_walk_matrix`; other t keep a third), and the merges the walk and
+# Largest weak component Walktrap takes at the default walk length.  It holds
+# two dense float64 n x n matrices at a time, 16 n^2 bytes (some 400 MB at this
+# limit): at the default t = 4, and any power of two, the walk power keeps one
+# factor and its product (:func:`_walk_matrix`), and the merges the walk and
 # cost matrices, beside one block of gathered rows of at most
-# ``netbuild.KERNEL_BYTES``.  The best cut holds its link counts, 4 n^2 bytes.
+# ``netbuild.KERNEL_BYTES``.  Other t keep a third matrix in the walk power,
+# 24 n^2 bytes, so :func:`check_walktrap_limit` takes the components within the
+# same bytes, up to 4082 nodes.  The best cut holds its link counts, 4 n^2 bytes.
 WALKTRAP_MAX_NODES = 5000
 
 
@@ -107,7 +109,7 @@ def walktrap(net: InteractionNetwork, walk_length: int = 4) -> Dendrogram:
         raise UsageError("walk length must be >= 1")
     if not net.nodes:
         raise UsageError("walktrap needs a non-empty network")
-    check_walktrap_limit(net)
+    check_walktrap_limit(net, walk_length)
     view = net.view
     # One tree per weak component, in label order, i.e. by smallest member id.
     _, sizes = np.unique(view.component, return_counts=True)
@@ -119,15 +121,20 @@ def walktrap(net: InteractionNetwork, walk_length: int = 4) -> Dendrogram:
     return Dendrogram(trees=tuple(trees))
 
 
-def check_walktrap_limit(net: InteractionNetwork) -> None:
-    """Refuse ``net`` if its largest weak component, which is the giant's
-    size, is above :data:`WALKTRAP_MAX_NODES`."""
+def check_walktrap_limit(net: InteractionNetwork, walk_length: int = 4) -> None:
+    """Refuse ``net`` if Walktrap at ``walk_length`` would hold more bytes for
+    its largest weak component, which is the giant's size, than it holds at the
+    default for :data:`WALKTRAP_MAX_NODES` nodes: 16 bytes x n^2 when the walk
+    length is a power of two and 24 otherwise (:func:`_walk_matrix`)."""
+    import math
+
     n_nodes = int(np.bincount(net.view.component).max()) if net.n_nodes else 0
-    if n_nodes > WALKTRAP_MAX_NODES:
+    per_pair = 16 if walk_length & (walk_length - 1) == 0 else 24
+    limit = math.isqrt(16 * WALKTRAP_MAX_NODES**2 // per_pair)
+    if n_nodes > limit:
         raise UsageError(
-            f"walktrap takes components of at most {WALKTRAP_MAX_NODES} nodes "
-            f"(at the default walk length, its walk matrix power and its merges "
-            f"each hold about 16 bytes x n^2); this one has {n_nodes}"
+            f"walktrap takes components of at most {limit} nodes at walk length "
+            f"{walk_length} (it holds up to {per_pair} bytes x n^2); this one has {n_nodes}"
         )
 
 
@@ -375,10 +382,14 @@ def domain_overlap(partition: Partition, domains: dict[str, str | None]) -> Doma
 
 
 def partition_to_csv(partition: Partition) -> str:
-    lines = ["node_id,community_id"]
-    for node in sorted(partition.assignment):
-        lines.append(f"{node},{partition.assignment[node]}")
-    return "\n".join(lines) + "\n"
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("node_id", "community_id"))
+    writer.writerows((node, partition.assignment[node]) for node in sorted(partition.assignment))
+    return out.getvalue()
 
 
 def dendrogram_to_json(dendrogram: Dendrogram) -> str:

@@ -502,7 +502,13 @@ def _load_manifest(dirpath: Path, warnings: list[str]) -> dict[str, str]:
     if not isinstance(data, dict):
         warnings.append(f"{manifest}: manifest must be a JSON object; ignored")
         return {}
-    return {str(k): str(v) for k, v in data.items()}
+    domains = {}
+    for name, domain in data.items():
+        if isinstance(domain, str):
+            domains[name] = domain
+        else:
+            warnings.append(f"{manifest}: domain of {name!r} is not a string; ignored")
+    return domains
 
 
 # ---------------------------------------------------------------------------

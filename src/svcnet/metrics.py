@@ -135,30 +135,25 @@ def _distance_totals(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, int
 # ---------------------------------------------------------------------------
 
 
-def _components_by_size(net: InteractionNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Component labels and sizes, largest first; ties broken by label, i.e.
-    by the lexicographically smallest member id."""
-    labels, sizes = np.unique(net.view.component, return_counts=True)
-    order = np.lexsort((labels, -sizes))
-    return labels[order], sizes[order]
-
-
 def weak_components(net: InteractionNetwork) -> ComponentReport:
     if not net.nodes:
         return ComponentReport((), 0.0, 0.0)
-    labels, sizes = _components_by_size(net)
-    giant_links = int((net.view.component[net.src] == labels[0]).sum())
-    node_fraction = int(sizes[0]) / len(net.nodes)
+    # Sizes by label; the giant is the first largest, i.e. the one with the
+    # lexicographically smallest member id.
+    sizes = np.bincount(net.view.component)
+    giant = sizes.argmax()
+    giant_links = int((net.view.component[net.src] == giant).sum())
     link_fraction = giant_links / net.n_edges if net.n_edges else 0.0
-    return ComponentReport(tuple(sizes.tolist()), node_fraction, link_fraction)
+    return ComponentReport(tuple(np.sort(sizes[sizes > 0])[::-1].tolist()),
+                           int(sizes[giant]) / len(net.nodes), link_fraction)
 
 
 def giant_component(net: InteractionNetwork) -> InteractionNetwork:
     """Induced subgraph on the largest weak component."""
     if not net.nodes:
         return net
-    labels, _ = _components_by_size(net)
-    return net.keep_components(net.view.component == labels[0])
+    component = net.view.component
+    return net.keep_components(component == np.bincount(component).argmax())
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +267,15 @@ def er_baseline(
     mean_degree = 2 * m / n
     estimate = math.log(n) / math.log(mean_degree) if mean_degree > 1 else None
 
-    means: list[float] = []
-    for s in range(samples):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, s])))
-        avg = _er_sample_average_distance(n, m, rng)
-        if avg is not None:
-            means.append(avg)
-
-    if means:
-        arr = np.array(means)
-        sampled_mean = float(arr.mean())
-        sampled_std = float(arr.std())
-    else:
-        sampled_mean = None
-        sampled_std = None
+    # With m >= 1 every sample's giant holds a link; with m = 0 none does.
+    sampled_mean = sampled_std = None
+    if m:
+        means = np.array([
+            _er_sample_average_distance(
+                n, m, np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, s]))))
+            for s in range(samples)
+        ])
+        sampled_mean, sampled_std = float(means.mean()), float(means.std())
 
     ratio = None
     if observed_average is not None and sampled_mean:
@@ -303,9 +293,7 @@ def er_baseline(
     )
 
 
-def _er_sample_average_distance(n: int, m: int, rng: np.random.Generator) -> float | None:
-    if m == 0:
-        return None
+def _er_sample_average_distance(n: int, m: int, rng: np.random.Generator) -> float:
     picks = rng.choice(n * (n - 1) // 2, size=m, replace=False)
     # Decode linear indices of the strict upper triangle, row-major: row i
     # starts at i*(2n-i-1)/2.

@@ -372,7 +372,7 @@ def _check_edgelist(net: InteractionNetwork) -> None:
 # Characters outside XML 1.0's Char production, which no document can carry,
 # even as a character reference: the C0 controls but tab, LF and CR, the
 # surrogates, U+FFFE and U+FFFF.
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _check_graphml(net: InteractionNetwork, domains: dict[str, str | None] | None) -> None:

@@ -416,6 +416,23 @@ def test_walktrap_limit_is_checked_before_any_metric(capsys, gen_dir, monkeypatc
     assert "at most 9 nodes" in err and "this one has 10" in err
 
 
+def test_walktrap_limit_at_a_walk_length_that_is_not_a_power_of_two(capsys, tmp_path,
+                                                                     monkeypatch):
+    # A 4083-node path is within the limit at the default walk length, not at 3.
+    from svcnet import metrics
+
+    monkeypatch.setattr(metrics, "distance_report", no_metrics)
+    monkeypatch.setattr(metrics, "weak_components", no_metrics)
+    path = tmp_path / "path.tsv"
+    path.write_text("".join(f"v{i:05d}\tv{i + 1:05d}\n" for i in range(4082)))
+    code, out, err = run(capsys, "analyze", str(path), "--walk-length", "3",
+                         "--plfit-boot", "0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "at most 4082 nodes at walk length 3" in err and "this one has 4083" in err
+
+
 def test_compare_without_ontology_warns(capsys, gen_dir):
     code, out, err = run(capsys, "compare", str(gen_dir), "--plfit-boot", "0")
     assert code == 0

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import itertools
 import json
 
@@ -117,6 +119,29 @@ def test_walktrap_refuses_an_over_limit_component_before_building_any_tree(monke
                      + [(f"b{i}", f"b{i + 1}") for i in range(6)])
     with pytest.raises(UsageError, match=r"at most 5 nodes.*this one has 7"):
         walktrap(net)
+
+
+def path_of(n: int) -> InteractionNetwork:
+    return undirected([(f"v{i:05d}", f"v{i + 1:05d}") for i in range(n - 1)])
+
+
+def test_walktrap_limit_follows_the_walk_length(monkeypatch):
+    # At walk lengths that are not powers of two the walk power holds a third
+    # n x n matrix, 24 bytes x n^2 in all: within the 16 x 5000^2 bytes of the
+    # default's limit up to 4082 nodes.
+    def no_matrix(*args):
+        raise AssertionError("a walk or tree was built by the limit check")
+
+    monkeypatch.setattr(community, "_walk_matrix", no_matrix)
+    monkeypatch.setattr(community, "_walktrap_component", no_matrix)
+    path = path_of(4083)
+    for t in (3, 5, 6, 7):
+        with pytest.raises(UsageError, match=rf"at most 4082 nodes at walk length {t} "
+                                             r".*24 bytes.*this one has 4083"):
+            community.check_walktrap_limit(path, t)
+    for t in (1, 2, 4, 8):
+        assert traced_peak(lambda: community.check_walktrap_limit(path, t)) < 4083**2
+    community.check_walktrap_limit(path_of(4082), 3)
 
 
 def test_walktrap_node_limit_is_per_component(monkeypatch):
@@ -526,6 +551,14 @@ def test_domain_aligned_collection_has_high_purity():
 def test_partition_csv_format():
     part = Partition(assignment={"b": 1, "a": 0}, community_count=2)
     assert partition_to_csv(part) == "node_id,community_id\na,0\nb,1\n"
+
+
+def test_partition_csv_quotes_ids_that_hold_separators():
+    ids = ["a,b::op", 'say "hi"', "two\nlines", "crlf\r\nend", "plain"]
+    part = Partition(assignment={node: i for i, node in enumerate(ids)}, community_count=5)
+    rows = list(csv.reader(io.StringIO(partition_to_csv(part), newline="")))
+    assert rows == [["node_id", "community_id"]] + [
+        [node, str(ids.index(node))] for node in sorted(ids)]
 
 
 def test_dendrogram_json_format(k4):

@@ -639,6 +639,19 @@ def test_manifest_that_is_not_an_object_is_ignored_with_a_warning(tmp_path):
     assert set(coll.domain_of_operation().values()) == {None}
 
 
+def test_manifest_domains_that_are_not_strings_are_ignored_with_a_warning(tmp_path):
+    for name in ("a", "b", "c", "d"):
+        write_fixture(tmp_path, f"{name}.wsdl", GETPRICE_WSDL)
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"a.wsdl": None, "b.wsdl": 3, "c.wsdl": {"x": "travel"}, "d.wsdl": "travel"}))
+    coll = load_collection(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    assert [w for w in coll.warnings if w.startswith(f"{manifest}:")] == [
+        f"{manifest}: domain of {name!r} is not a string; ignored"
+        for name in ("a.wsdl", "b.wsdl", "c.wsdl")]
+    assert [svc.domain for svc in coll.services] == [None, None, None, "travel"]
+
+
 def test_empty_directory_is_an_error(tmp_path):
     with pytest.raises(UsageError, match="no descriptions found"):
         load_collection(tmp_path)

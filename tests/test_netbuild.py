@@ -13,6 +13,7 @@ from svcnet.corpus import OperationDesc, ServiceCollection, ServiceDesc
 from svcnet.errors import SvcnetError, UsageError
 from svcnet.gen import GenSpec, generate
 from svcnet.matcher import ALL_KINDS, MatcherKind
+from svcnet import netbuild
 from svcnet.cli import _write_output
 from svcnet.netbuild import (
     EXPORT_CHUNK_LINES,
@@ -236,6 +237,18 @@ def test_graphml_export_refuses_a_domain_label_xml_cannot_carry():
     # A label of a node the network does not hold is not written, so not read.
     assert read_graphml(export_network(net, "graphml", {"a": "ok", "z": "\x0b"})) == (
         net, {"a": "ok"})
+
+
+def test_not_xml_char_matches_exactly_the_code_points_outside_xml_char():
+    # XML 1.0 (Fifth Edition), production [2]: Char ::= #x9 | #xA | #xD |
+    # [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF].
+    def xml_char(cp: int) -> bool:
+        return (cp in (0x9, 0xA, 0xD) or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD
+                or 0x10000 <= cp <= 0x10FFFF)
+
+    every = "".join(map(chr, range(0x110000)))
+    matched = [m.start() for m in netbuild._NOT_XML_CHAR.finditer(every)]
+    assert matched == [cp for cp in range(0x110000) if not xml_char(cp)]
 
 
 def _not_xml_char(c: str) -> bool:

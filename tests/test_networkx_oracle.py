@@ -90,7 +90,7 @@ def test_giant_metrics_match_networkx(n, density, isolated, seed):
 @pytest.mark.parametrize(
     "n, m, seed",
     # m=2 on 30 nodes: every sample's giant is a single link of 2 nodes.
-    [(30, 2, 4), (40, 12, 0), (60, 45, 1), (120, 300, 2), (200, 160, 7)],
+    [(30, 2, 4), (40, 12, 0), (60, 45, 1), (120, 300, 2), (200, 160, 7), (300, 299, 3)],
 )
 def test_er_baseline_matches_networkx(n, m, seed):
     samples = 10
