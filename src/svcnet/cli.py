@@ -225,7 +225,10 @@ def compare_collection(
     opts: BuildOptions,
     params: AnalysisParams,
 ) -> dict:
-    """Build and check all four networks, then analyze them one after another."""
+    """Build and check all four networks, then analyze them in up to four
+    processes, one per CPU this process may run on
+    (:func:`_analyze_in_processes`).  The report, the warnings and the error
+    raised are those of analyzing them one after another in kind order."""
     from .community import check_walktrap_limit
 
     domains = coll.domain_of_operation()
@@ -233,14 +236,116 @@ def compare_collection(
     built = [build_network(coll, kind, effective_onto, opts) for kind in ALL_KINDS]
     for net in built:
         check_walktrap_limit(net, params.walk_length)
-    networks = {kind.value: analyze_network(net, params, domains)
-                for kind, net in zip(ALL_KINDS, built)}
+    sections = _analyze_in_processes(built, params, domains)
+    networks = {kind.value: section for kind, section in zip(ALL_KINDS, sections)}
     return _report(
         COMPARE_SCHEMA, opts, params,
         collection={**asdict(collection_stats(coll)), "warnings": len(coll.warnings)},
         networks=networks,
         comparison=_comparison_block(networks),
     )
+
+
+def _analyze_each(nets: list[InteractionNetwork], params: AnalysisParams,
+                  domains: dict[str, str | None]) -> list[tuple]:
+    """``(section or exception, warnings)`` for each of ``nets`` in turn, up to
+    the first whose analysis raises; each warning as ``(message, category,
+    filename, lineno)``."""
+    results = []
+    for net in nets:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                result = analyze_network(net, params, domains)
+            except Exception as exc:
+                result = exc
+        results.append((result, [(w.message, w.category, w.filename, w.lineno)
+                                  for w in caught]))
+        if isinstance(result, Exception):
+            break
+    return results
+
+
+def _analyze_in_processes(nets: list[InteractionNetwork], params: AnalysisParams,
+                          domains: dict[str, str | None]) -> list[dict]:
+    """The sections of ``nets``, analyzed by w = min(len(nets), CPUs) processes:
+    process k (this one is 0, the others forked) takes networks k, k + w, ...
+    and a child sends back its results through a pipe as one pickle.  Their
+    warnings are then issued in the order of ``nets``, and the first network
+    whose analysis raised raises, as if they had run one after another.  With
+    one CPU, or no ``os.sched_getaffinity``, nothing is forked."""
+    import os
+    import pickle
+    import signal
+
+    # The analyses import these lazily; import them once, not in every child.
+    import numpy.random  # noqa: F401
+
+    from . import community, metrics, plfit  # noqa: F401
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = min(len(nets), cpus)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, k, read end of its pipe) of each child not yet waited for
+    try:
+        for k in range(1, w):
+            read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when forking a process that has threads,
+                # such as OpenBLAS's pool; the child runs no code that waits
+                # on a lock another thread may hold.
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                        DeprecationWarning)
+                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise SvcnetError(f"cannot start an analysis process: {exc}") from exc
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(_analyze_each(nets[k::w], params, domains), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, k, open(read_fd, "rb")))
+
+        shares = {0: _analyze_each(nets[0::w], params, domains)}
+        while children:
+            pid, k, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code == 0:
+                shares[k] = pickle.loads(data)
+            else:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                kinds = [net.kind.value for net in nets[k::w]]
+                shares[k] = [(SvcnetError(
+                    f"the analysis of the {' and '.join(kinds)} network"
+                    f"{'s' * (len(kinds) > 1)} ended without a result ({how})"), [])]
+    finally:
+        for pid, _, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    sections = []
+    registries: dict[str, dict] = {}  # one per file, as each module keeps its own
+    for i in range(len(nets)):
+        result, caught = shares[i % w][i // w]
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=registries.setdefault(filename, {}))
+        if isinstance(result, Exception):
+            raise result
+        sections.append(result)
+    return sections
 
 
 def _comparison_block(networks: dict[str, dict]) -> dict:

@@ -382,14 +382,19 @@ def domain_overlap(partition: Partition, domains: dict[str, str | None]) -> Doma
 
 
 def partition_to_csv(partition: Partition) -> str:
-    import csv
-    import io
+    """``node_id,community_id`` rows in id order, one per line.  An id that
+    holds a comma, a double quote, a line feed or a carriage return is quoted
+    and its quotes doubled, as ``csv.reader`` reads it.  (``csv.writer``
+    quotes a lone carriage return or not depending on its line terminator.)"""
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("node_id", "community_id"))
-    writer.writerows((node, partition.assignment[node]) for node in sorted(partition.assignment))
-    return out.getvalue()
+    def field(node: str) -> str:
+        if any(c in node for c in ',"\n\r'):
+            return '"' + node.replace('"', '""') + '"'
+        return node
+
+    rows = (f"{field(node)},{partition.assignment[node]}\n"
+            for node in sorted(partition.assignment))
+    return "node_id,community_id\n" + "".join(rows)
 
 
 def dendrogram_to_json(dendrogram: Dendrogram) -> str:

@@ -1111,3 +1111,142 @@ def test_whitespace_before_the_xml_declaration_is_not_part_of_the_input(
         assert code == 0, err
         outputs.append(out)
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# compare in forked processes, one per CPU that os.sched_getaffinity names
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def with_cpus(monkeypatch, n: int) -> list[int]:
+    """Make compare see ``n`` CPUs; the list collects the pids it forks."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def compare_golden(capsys, golden_corpus, *flags):
+    return run(capsys, "compare", str(golden_corpus),
+               "--ontology", str(golden_corpus / "ontology.tsv"), *flags)
+
+
+@needs_fork
+def test_compare_in_processes_writes_the_serial_report_and_stderr(
+        capsys, golden_corpus, tmp_path, monkeypatch):
+    outputs = {}
+    for n in (1, 2, 4):
+        forked = with_cpus(monkeypatch, n)
+        report = tmp_path / f"cpus{n}.json"
+        code, out, err = compare_golden(capsys, golden_corpus, "--plfit-boot", "20",
+                                        "-o", str(report))
+        assert (code, out, len(forked)) == (0, "", n - 1)
+        outputs[n] = (report.read_bytes(), err.splitlines())
+        assert_no_child_left()
+    assert outputs[1] == outputs[2] == outputs[4]
+    assert outputs[1][1] == [
+        "warning: n_boot=20 gives a coarse p-value resolution (>= 100 recommended)"]
+
+
+@needs_fork
+@pytest.mark.parametrize("failing, first", [(("subsume",), "subsume"),
+                                             (("plugin", "exact"), "exact")])
+def test_an_error_in_a_forked_analysis_is_the_serial_error(
+        capsys, golden_corpus, monkeypatch, failing, first):
+    # At 2 CPUs this process analyzes equal and plugin, its child exact and
+    # subsume: the first failure in kind order wins wherever it ran.
+    from svcnet import cli
+    from svcnet.errors import SvcnetError
+
+    analyze = cli.analyze_network
+
+    def analyze_or_fail(net, *args):
+        if net.kind.value in failing:
+            raise SvcnetError(f"no analysis of {net.kind.value}")
+        return analyze(net, *args)
+
+    monkeypatch.setattr(cli, "analyze_network", analyze_or_fail)
+    results = set()
+    for n in (1, 2):
+        with_cpus(monkeypatch, n)
+        results.add(compare_golden(capsys, golden_corpus, "--plfit-boot", "20"))
+        assert_no_child_left()
+    assert results == {(1, "", "warning: n_boot=20 gives a coarse p-value resolution "
+                        f"(>= 100 recommended)\nerror: no analysis of {first}\n")}
+
+
+@needs_fork
+def test_a_killed_analysis_process_is_one_error_line(capsys, golden_corpus, monkeypatch):
+    import signal
+
+    from svcnet import cli
+
+    analyze = cli.analyze_network
+    parent = os.getpid()
+
+    def analyze_or_die(net, *args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return analyze(net, *args)
+
+    monkeypatch.setattr(cli, "analyze_network", analyze_or_die)
+    with_cpus(monkeypatch, 2)
+    code, out, err = compare_golden(capsys, golden_corpus, "--plfit-boot", "0")
+    assert (code, out) == (1, "")
+    assert err == ("error: the analysis of the exact and subsume networks ended "
+                   f"without a result (killed by signal {int(signal.SIGKILL)})\n")
+    assert_no_child_left()
+
+
+@needs_fork
+def test_an_interrupted_compare_kills_its_analysis_processes(golden_corpus, monkeypatch):
+    # The children would sleep for a minute: the interrupt must end them.
+    import time
+
+    from svcnet import cli
+
+    parent = os.getpid()
+
+    def analyze_or_hang(net, *args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "analyze_network", analyze_or_hang)
+    forked = with_cpus(monkeypatch, 4)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["compare", str(golden_corpus), "--plfit-boot", "0"])
+    assert len(forked) == 3 and time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_a_network_over_the_walktrap_limit_is_refused_before_any_fork(
+        capsys, gen_dir, monkeypatch):
+    from svcnet import community
+
+    def no_fork():
+        raise AssertionError("forked before the walktrap limit was checked")
+
+    monkeypatch.setattr(community, "WALKTRAP_MAX_NODES", 9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    code, out, err = run(capsys, "compare", str(gen_dir), "--ontology",
+                         str(gen_dir / "ontology.tsv"), "--plfit-boot", "0")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "at most 9 nodes" in err

@@ -554,9 +554,11 @@ def test_partition_csv_format():
 
 
 def test_partition_csv_quotes_ids_that_hold_separators():
-    ids = ["a,b::op", 'say "hi"', "two\nlines", "crlf\r\nend", "plain"]
-    part = Partition(assignment={node: i for i, node in enumerate(ids)}, community_count=5)
-    rows = list(csv.reader(io.StringIO(partition_to_csv(part), newline="")))
+    ids = ["a,b::op", 'say "hi"', "two\nlines", "crlf\r\nend", "plain", "a\rb", "\r", "end\r"]
+    part = Partition(assignment={node: i for i, node in enumerate(ids)}, community_count=8)
+    text = partition_to_csv(part)
+    assert '\n"a\rb",5\n' in text and "\nplain,4\n" in text
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     assert rows == [["node_id", "community_id"]] + [
         [node, str(ids.index(node))] for node in sorted(ids)]
 
