@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -265,14 +265,41 @@ def _analyze_each(nets: list[InteractionNetwork], params: AnalysisParams,
     return results
 
 
+def _end_with(parent: int) -> Callable[[], None]:
+    """A function for a process that ``parent`` forks: called there, it has the
+    kernel SIGKILL that process when ``parent`` ends, even by a signal it cannot
+    catch (Linux's ``PR_SET_PDEATHSIG``).  Where libc has no ``prctl``, it does
+    nothing.  Take it before the fork: looking ``prctl`` up takes the dynamic
+    loader's lock, which another thread may hold when the process forks."""
+    import ctypes  # numpy has imported it already
+    import os
+    import signal
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return lambda: None
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+
+    def end_with_parent() -> None:
+        prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # it ended before the call: no signal will come
+            os._exit(1)
+
+    return end_with_parent
+
+
 def _analyze_in_processes(nets: list[InteractionNetwork], params: AnalysisParams,
                           domains: dict[str, str | None]) -> list[dict]:
     """The sections of ``nets``, analyzed by w = min(len(nets), CPUs) processes:
     process k (this one is 0, the others forked) takes networks k, k + w, ...
     and a child sends back its results through a pipe as one pickle.  Their
     warnings are then issued in the order of ``nets``, and the first network
-    whose analysis raised raises, as if they had run one after another.  With
-    one CPU, or no ``os.sched_getaffinity``, nothing is forked."""
+    whose analysis raised raises, as if they had run one after another.  On
+    Linux a child ends when this process does, even when it is killed
+    (:func:`_end_with`).  With one CPU, or no ``os.sched_getaffinity``,
+    nothing is forked."""
     import os
     import pickle
     import signal
@@ -284,6 +311,7 @@ def _analyze_in_processes(nets: list[InteractionNetwork], params: AnalysisParams
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     w = min(len(nets), cpus)
+    end_with_parent = _end_with(os.getpid()) if w > 1 else None
     sys.stdout.flush()
     sys.stderr.flush()
     children = []  # (pid, k, read end of its pipe) of each child not yet waited for
@@ -305,6 +333,7 @@ def _analyze_in_processes(nets: list[InteractionNetwork], params: AnalysisParams
             if pid == 0:
                 status = 1
                 try:
+                    end_with_parent()
                     os.close(read_fd)
                     with open(write_fd, "wb") as pipe:
                         pickle.dump(_analyze_each(nets[k::w], params, domains), pipe)

@@ -252,14 +252,21 @@ def test_analyze_empty_network_reports_undefined_markers(capsys, tmp_path):
     assert giant["diameter"] is None
 
 
-def test_analyze_same_inputs_and_seed_is_byte_identical(capsys, fig1_dir):
-    args = ("analyze", str(fig1_dir), "--matcher", "equal", "--seed", "4",
-            "--plfit-boot", "0")
-    code, first, _ = run(capsys, *args)
-    assert code == 0
-    code, second, _ = run(capsys, *args)
-    assert code == 0
-    assert first == second
+def test_analyze_same_inputs_and_seed_is_byte_identical(capsys, fig1_dir, golden_corpus):
+    # The golden exact network has a power-law fit, so its bootstrap samples
+    # and refits; its p-value, about 0.4, would move with other draws.
+    bootstrap = ("analyze", str(golden_corpus), "--matcher", "exact",
+                 "--ontology", str(golden_corpus / "ontology.tsv"), "--seed", "3",
+                 "--plfit-boot", "100")
+    for args in (("analyze", str(fig1_dir), "--matcher", "equal", "--seed", "4",
+                  "--plfit-boot", "0"), bootstrap):
+        code, first, _ = run(capsys, *args)
+        assert code == 0
+        code, second, _ = run(capsys, *args)
+        assert code == 0
+        assert first == second
+    power_law = json.loads(first)["network"]["giant"]["power_law"]
+    assert power_law["available"] and power_law["n_boot"] == 100
 
 
 def test_analyze_full_adds_whole_network_block(capsys, fig1_dir):
@@ -425,12 +432,14 @@ def test_walktrap_limit_at_a_walk_length_that_is_not_a_power_of_two(capsys, tmp_
     monkeypatch.setattr(metrics, "weak_components", no_metrics)
     path = tmp_path / "path.tsv"
     path.write_text("".join(f"v{i:05d}\tv{i + 1:05d}\n" for i in range(4082)))
+    report = tmp_path / "path.json"
     code, out, err = run(capsys, "analyze", str(path), "--walk-length", "3",
-                         "--plfit-boot", "0")
+                         "--plfit-boot", "0", "-o", str(report))
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "at most 4082 nodes at walk length 3" in err and "this one has 4083" in err
+    assert not report.exists()
 
 
 def test_compare_without_ontology_warns(capsys, gen_dir):
@@ -447,14 +456,21 @@ def test_compare_without_ontology_warns(capsys, gen_dir):
 CONSOLE_SCRIPT = [sys.executable, "-c", "import sys; from svcnet.cli import main; sys.exit(main())"]
 
 
+def process_env(**env_vars: str) -> dict[str, str]:
+    """This environment, with ``env_vars`` added, for a process that imports
+    this checkout's svcnet."""
+    env = dict(os.environ, **env_vars)
+    src = str(Path(svcnet.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_process(argv: list[str], cwd=None, *, text: bool = True,
                 **env_vars: str) -> subprocess.CompletedProcess:
     """Run ``argv`` as a process that imports this checkout's svcnet, with
     ``env_vars`` added to its environment; ``text=False`` keeps its output bytes."""
-    env = dict(os.environ, **env_vars)
-    src = str(Path(svcnet.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(argv, capture_output=True, text=text, env=env, cwd=cwd, check=False)
+    return subprocess.run(argv, capture_output=True, text=text, env=process_env(**env_vars),
+                          cwd=cwd, check=False)
 
 
 def test_library_warnings_print_as_warning_lines(gen_dir):
@@ -492,6 +508,7 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
         ["gen", "corpus", "--seed", "0"],
         ["extract", "corpus", "--matcher", "subsume", "--ontology", "corpus/ontology.tsv",
          "--format", "graphml", "-o", "network.graphml"],
+        ["analyze", "network.graphml", "--full", "--plfit-boot", "0", "-o", "full.json"],
         ["compare", "corpus", "--ontology", "corpus/ontology.tsv", "--plfit-boot", "0",
          "-o", "report.json"],
     )
@@ -502,8 +519,10 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
         for argv in commands:
             proc = run_process(CONSOLE_SCRIPT + argv, cwd=cwd, PYTHONHASHSEED=hash_seed)
             assert proc.returncode == 0, proc.stderr
-        written[hash_seed] = [(cwd / name).read_bytes()
-                              for name in ("network.graphml", "report.json")]
+        # The generated tree and every file written from it.
+        written[hash_seed] = {path.relative_to(cwd).as_posix(): path.read_bytes()
+                              for path in cwd.rglob("*") if path.is_file()}
+    assert {"corpus/manifest.json", "full.json", "report.json"} <= set(written["0"])
     assert written["0"] == written["1"]
 
 
@@ -513,13 +532,15 @@ def test_cyclic_ontology_names_one_cycle_whatever_the_string_hash_seed(gen_dir, 
     onto = tmp_path / "cycles.tsv"
     onto.write_text("".join(f"http://x/#{k}{i}\thttp://x/#{k}{(i + 1) % 3}\n"
                             for k in "abcdefgh" for i in range(3)))
-    argv = ["extract", str(gen_dir), "--matcher", "plugin", "--ontology", str(onto)]
     errors = set()
-    for hash_seed in ("0", "1"):
-        proc = run_process(CONSOLE_SCRIPT + argv, PYTHONHASHSEED=hash_seed)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        errors.add(proc.stderr)
+    for command in (["extract", str(gen_dir), "--matcher", "plugin"],
+                    ["compare", str(gen_dir), "--plfit-boot", "0"]):
+        for hash_seed in ("0", "1"):
+            proc = run_process(CONSOLE_SCRIPT + command + ["--ontology", str(onto)],
+                               PYTHONHASHSEED=hash_seed)
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            errors.add(proc.stderr)
     (error,) = errors
     assert error.startswith("error: subclass cycle: ")
 
@@ -613,6 +634,53 @@ def test_extract_and_export_load_neither_numpy_nor_the_analysis_layers(
         assert hashlib.sha256(out[fmt].read_bytes()).hexdigest() == EXPORT_SHA256["subsume", fmt]
 
 
+# Runs main on its arguments, then prints, as its last line, main's exit code
+# and the files of the modules it loaded, beyond those of a bare interpreter,
+# that lie outside the standard library, numpy and svcnet.  The standard
+# library's directory may hold site-packages, which does not count.  Modules
+# without a file, such as the ones numpy.random's Cython extensions register,
+# are built in.
+IMPORT_CHECK = """\
+import sys
+bare = set(sys.modules)
+from svcnet.cli import main
+code = main(sys.argv[1:])
+import site, sysconfig
+from pathlib import Path
+import numpy, svcnet
+paths = sysconfig.get_paths()
+stdlib = [Path(paths[key]).resolve() for key in ("stdlib", "platstdlib")]
+sites = [Path(path).resolve() for path in (paths["purelib"], paths["platlib"],
+                                           *site.getsitepackages())]
+packages = [Path(package.__file__).resolve().parent for package in (numpy, svcnet)]
+def under(path, roots):
+    return any(path.is_relative_to(root) for root in roots)
+def allowed(path):
+    return under(path, packages) or (under(path, stdlib) and not under(path, sites))
+files = [getattr(sys.modules[name], "__file__", None) for name in set(sys.modules) - bare]
+loaded = [Path(file).resolve() for file in files if file is not None]
+print(code, sorted(path.as_posix() for path in loaded if not allowed(path)))
+"""
+
+
+def test_the_commands_import_only_the_standard_library_numpy_and_svcnet(tmp_path):
+    # numpy is the one runtime dependency: the test extras are not installed
+    # where svcnet runs.
+    commands = (
+        ["gen", "corpus", "--seed", "0"],
+        ["extract", "corpus", "--matcher", "subsume", "--ontology", "corpus/ontology.tsv",
+         "-o", "network.graphml"],
+        ["export", "network.graphml", "--format", "edgelist", "-o", "network.tsv"],
+        ["analyze", "network.graphml", "--full", "--plfit-boot", "20", "-o", "analysis.json"],
+        ["compare", "corpus", "--ontology", "corpus/ontology.tsv", "--plfit-boot", "20",
+         "-o", "report.json"],
+    )
+    for argv in commands:
+        proc = run_process([sys.executable, "-c", IMPORT_CHECK, *argv], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", argv[0]
+
+
 def test_svcnet_import_loads_no_submodule():
     code = "import sys, svcnet; print([m for m in sys.modules if m.startswith('svcnet.')])"
     proc = run_process([sys.executable, "-c", code])
@@ -667,6 +735,16 @@ def test_gen_writes_loadable_collection(capsys, tmp_path):
     assert code == 0
 
 
+# Each refused gen flag value's whole stderr.
+GEN_USAGE_ERRORS = {
+    "--services": "error: n_services must be >= 1\n",
+    "--annotation-rate": "error: annotation_rate must be in [0, 1]\n",
+    "--max-inputs": "error: inputs_per_op upper bound 99 exceeds the per-domain name pool "
+                    "(40); parameters are drawn without replacement\n",
+    "--seed": "error: seed must be >= 0\n",
+}
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--services", "0"),
     ("--annotation-rate", "2"),
@@ -678,7 +756,7 @@ def test_gen_bad_flag_value_is_usage_error(capsys, tmp_path, flag, value):
     code, out, err = run(capsys, "gen", str(out_dir), flag, value)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == GEN_USAGE_ERRORS[flag]
     assert not out_dir.exists()
 
 
@@ -1234,6 +1312,77 @@ def test_an_interrupted_compare_kills_its_analysis_processes(golden_corpus, monk
         main(["compare", str(golden_corpus), "--plfit-boot", "0"])
     assert len(forked) == 3 and time.monotonic() - start < 30
     assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+def test_a_killed_compare_ends_its_analysis_processes(golden_corpus):
+    # SIGKILL leaves compare no finally in which to kill its child, which
+    # would sleep for a minute: the kernel must end it.
+    import select
+    import signal
+    import time
+
+    script = (
+        "import os, time\n"
+        "from svcnet import cli\n"
+        "parent = os.getpid()\n"
+        "def analyze_and_hang(net, *args):\n"
+        "    if os.getpid() != parent:\n"
+        "        print(os.getpid(), flush=True)\n"
+        "    time.sleep(60)\n"
+        "cli.analyze_network = analyze_and_hang\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        f"cli.main(['compare', {str(golden_corpus)!r}, '--plfit-boot', '0'])\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                            env=process_env())
+    def stat(pid: int) -> list[str] | None:
+        """The fields of /proc/<pid>/stat from the third (the state letter)
+        on, or None once the process is gone."""
+        try:
+            return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+        except FileNotFoundError:
+            return None
+
+    with proc.stdout:
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0], "no analysis process started"
+            child = int(proc.stdout.readline())
+            # The child is alive until its parent is killed: its start time
+            # (field 22) tells it from a later process given the same pid.
+            started = stat(child)[19]
+        finally:
+            proc.kill()
+            proc.wait()
+
+    def state() -> str | None:
+        """The child's state letter, or None once it is gone."""
+        fields = stat(child)
+        return fields[0] if fields is not None and fields[19] == started else None
+
+    deadline = time.monotonic() + 5
+    while state() not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.02)
+    try:
+        assert state() in (None, "Z")
+    finally:
+        if state() not in (None, "Z"):
+            os.kill(child, signal.SIGKILL)
+
+
+def test_compare_at_one_cpu_looks_up_no_prctl(capsys, golden_corpus, monkeypatch):
+    # On Windows ctypes.CDLL(None) raises TypeError; a serial compare forks
+    # nothing, so it must not ask for prctl at all.
+    import ctypes
+
+    def no_cdll(*args, **kwargs):
+        raise TypeError("no libc here")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    code, out, err = compare_golden(capsys, golden_corpus, "--plfit-boot", "0")
+    assert code == 0 and json.loads(out)["networks"]
 
 
 def test_a_network_over_the_walktrap_limit_is_refused_before_any_fork(

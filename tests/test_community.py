@@ -213,12 +213,13 @@ def test_tied_merge_costs_dendrogram_digests(name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
-def random_network(seed: int) -> InteractionNetwork:
-    """A directed graph on 2..120 nodes, often disconnected: random density,
-    reciprocal links and isolated nodes, ids in an order unrelated to the
-    links."""
+def random_network(seed: int, n: int | None = None) -> InteractionNetwork:
+    """A directed graph on ``n`` nodes, by default 2..120, often disconnected:
+    random density, reciprocal links and isolated nodes, ids in an order
+    unrelated to the links."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 121))
+    if n is None:
+        n = int(rng.integers(2, 121))
     ids = [f"v{k:03d}" for k in rng.permutation(n)]
     m = int(rng.integers(1, 3 * n + 1))
     src, dst = rng.integers(0, n, size=(2, m))
@@ -296,10 +297,12 @@ def test_walktrap_gathers_one_row_at_a_time_like_the_heap_reference(graph, monke
         assert_matches_heap_reference(undirected(TIE_GRAPHS[graph]), monkeypatch)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_walk_matrix_is_matrix_power_bit_for_bit(seed):
-    # t = 5..8 keep both the running result and the squared factor.
-    net = random_network(seed)
+@pytest.mark.parametrize("seed, n", [*((seed, None) for seed in range(6)), (1, 200)],
+                         ids=[*map(str, range(6)), "n200"])
+def test_walk_matrix_is_matrix_power_bit_for_bit(seed, n):
+    # t = 5..8 keep both the running result and the squared factor; n = 200
+    # is larger than any graph random_network draws.
+    net = random_network(seed, n)
     a, b = net.view.pairs.T
     deg = net.view.und_deg
     trans = np.zeros((net.n_nodes, net.n_nodes))
