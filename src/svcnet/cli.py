@@ -548,6 +548,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     params = _analysis_params(args)
+    if args.output and args.csv and Path(args.output).resolve() == Path(args.csv).resolve():
+        raise UsageError(f"--csv {args.csv} is the report's output file; give it another path")
     coll = _load_collection_arg(args.collection)
     onto = _load_ontology_arg(args.ontology)
     if onto is None:

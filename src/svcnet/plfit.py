@@ -27,11 +27,12 @@ Batching keeps every bit of fitting one sample at a time, including the
 order in which each zeta series of 100 terms is summed.  numpy sums the
 terms of a single element pairwise but those of many elements term by
 term, and the two sums differ in the last bits.  Bootstrap KS distances
-do tie the observed one, so one flipped bit can change a p-value.  A series
-is therefore summed pairwise exactly when its element would be the only
-one below the series cutoff in its zeta call if its sample were fit alone:
-the only candidate cutoff below 100 of its sample, or the only tail value
-below 100 of its candidate.
+do tie the observed one, so one flipped bit can change a p-value.  Every
+element of a batched zeta call is therefore labelled with its group, the
+zeta call it would be in if its sample were fit alone: a sample's
+candidate cutoffs at one golden-section probe, or one candidate's tail
+values.  ``_zeta`` sums a series pairwise exactly when its element is the
+only one of its group below the series cutoff.
 """
 
 from __future__ import annotations
@@ -70,25 +71,25 @@ def hurwitz_zeta(s, a):
     if np.any(a_arr < 1.0):
         raise ValueError("hurwitz_zeta requires a >= 1")
     s_b, a_b = np.broadcast_arrays(s_arr, a_arr)
-    flat_a = a_b.reshape(-1)
-    lone = np.count_nonzero(flat_a < _SERIES_CUTOFF) == 1
-    out = _zeta(s_b.reshape(-1), flat_a, np.full(flat_a.shape, lone)).reshape(s_b.shape)
+    out = _zeta(s_b.reshape(-1), a_b.reshape(-1), np.zeros(a_b.size, np.intp)).reshape(s_b.shape)
     if out.shape == ():
         return float(out)
     return out
 
 
-def _zeta(s: np.ndarray, a: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
-    """Hurwitz zeta of flat arrays; ``pairwise`` marks series summed pairwise.
+def _zeta(s: np.ndarray, a: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta of flat arrays; ``group`` labels each element's group.
 
     An element below the series cutoff has its 100 terms summed pairwise
-    where ``pairwise`` is set and term by term elsewhere (see the module
-    docstring); elements at or past the cutoff need no series.
+    when it is the only one of its group below the cutoff, and term by term
+    otherwise (see the module docstring); elements at or past the cutoff
+    need no series.
     """
     out = np.empty(a.shape)
     small = a < _SERIES_CUTOFF
     if not small.all():
         out[~small] = _zeta_tail(s[~small], a[~small])
+    pairwise = (np.bincount(group, weights=small) == 1)[group]
     series_at = np.flatnonzero(small)
     for start in range(0, series_at.size, _SERIES_BLOCK):
         idx = series_at[start:start + _SERIES_BLOCK]
@@ -220,27 +221,23 @@ def _fit_many(
     log_sum = log_sum[sample, from_top]
 
     # A candidate needs >= 2 distinct tail values for a finite MLE.  A
-    # sample's only candidate below the series cutoff is summed pairwise.
+    # sample's candidates form one zeta group.
     cand = np.flatnonzero(from_top > 0)
-    xmins = values[cand].astype(np.float64)
-    n_series = np.bincount(sample[cand], weights=xmins < _SERIES_CUTOFF)
-    alphas = _mle_alphas(
-        xmins, tail_n[cand].astype(np.float64), log_sum[cand], (n_series == 1)[sample[cand]]
-    )
+    alphas = _mle_alphas(values[cand].astype(np.float64), tail_n[cand].astype(np.float64),
+                         log_sum[cand], sample[cand])
 
-    # KS distance per candidate over one flat group of its tail values; a
-    # group's only value below the series cutoff is summed pairwise.
+    # KS distance per candidate over its tail values, flat and labelled by
+    # candidate; a candidate's tail values form one zeta group.
     lengths = ends[sample[cand]] - cand
     first = np.cumsum(lengths) - lengths
-    at = np.arange(lengths.sum()) + np.repeat(cand - first, lengths)
+    owner = np.repeat(np.arange(cand.size), lengths)
+    at = np.arange(lengths.sum()) + (cand - first)[owner]
     v = values[at].astype(np.float64)
-    s = np.repeat(alphas, lengths)
-    n_series = np.add.reduceat(v < _SERIES_CUTOFF, first, dtype=np.intp)
-    z = _zeta(s, v, np.repeat(n_series == 1, lengths))
+    s = alphas[owner]
+    z = _zeta(s, v, owner)
     # zeta(alpha, v+1) = zeta(alpha, v) - v^-alpha, so the fitted CDF at v is:
-    fitted = 1.0 - (z - v ** (-s)) / np.repeat(z[first], lengths)
-    below = np.repeat(cum[cand] - counts[cand], lengths)
-    empirical = (cum[at] - below) / np.repeat(tail_n[cand], lengths)
+    fitted = 1.0 - (z - v ** (-s)) / z[first][owner]
+    empirical = (cum[at] - (cum[cand] - counts[cand])[owner]) / tail_n[cand][owner]
     ks = np.maximum.reduceat(np.abs(empirical - fitted), first)
 
     # First strict minimum per sample; a NaN distance never wins, and a
@@ -255,25 +252,25 @@ def _fit_many(
 
 
 def _mle_alphas(
-    xmins: np.ndarray, n_tails: np.ndarray, log_sums: np.ndarray, pairwise: np.ndarray
+    xmins: np.ndarray, n_tails: np.ndarray, log_sums: np.ndarray, sample: np.ndarray
 ) -> np.ndarray:
     """Vector golden-section maximization of the tail log-likelihood.
 
     L(alpha) = -n ln zeta(alpha, xmin) - alpha * sum(ln x) is concave in
-    alpha, so golden section converges to the global maximum.  Each step
-    evaluates both probes in one zeta call over the candidates listed twice;
-    zeta works element by element, so the bits are those of two calls.
+    alpha, so golden section converges to the global maximum.  ``sample``
+    labels each candidate with its sample.  Each step evaluates both probes
+    in one zeta call over the candidates listed twice, each probe's copy in
+    groups of its own, so the bits are those of one call per sample and probe.
     """
     m = xmins.size
-    xmins, n_tails, log_sums, pairwise = (
-        np.tile(arr, 2) for arr in (xmins, n_tails, log_sums, pairwise)
-    )
+    xmins, n_tails, log_sums = (np.tile(arr, 2) for arr in (xmins, n_tails, log_sums))
+    group = np.concatenate([2 * sample, 2 * sample + 1])
     lo = np.full(m, _ALPHA_LO)
     hi = np.full(m, _ALPHA_HI)
     for _ in range(_GOLDEN_ITER):
         span = (hi - lo) * _GOLDEN
         probes = np.concatenate([hi - span, lo + span])  # x1, then x2
-        neg_ll = n_tails * np.log(_zeta(probes, xmins, pairwise)) + probes * log_sums
+        neg_ll = n_tails * np.log(_zeta(probes, xmins, group)) + probes * log_sums
         keep_low = neg_ll[:m] < neg_ll[m:]
         hi = np.where(keep_low, probes[m:], hi)
         lo = np.where(keep_low, lo, probes[:m])

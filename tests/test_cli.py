@@ -371,6 +371,21 @@ def test_compare_csv_projection(capsys, gen_dir, tmp_path):
     assert report_to_csv(json.loads(out)) == csv_path.read_text()
 
 
+@pytest.mark.parametrize("csv_name", ["out.json", "link.json"])
+def test_compare_refuses_a_csv_path_that_is_the_report(capsys, tmp_path, csv_name):
+    # The refusal comes before the collection is read: this one is missing.
+    report = tmp_path / "out.json"
+    report.write_bytes(b"kept\n")
+    (tmp_path / "link.json").symlink_to(report)
+    code, out, err = run(capsys, "compare", str(tmp_path / "missing"), "-o", str(report),
+                         "--csv", str(tmp_path / csv_name))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --csv {tmp_path / csv_name} is the report's output file; "
+                   "give it another path\n")
+    assert report.read_bytes() == b"kept\n"
+
+
 def test_csv_projection_refuses_an_analysis_report(capsys, fig1_dir):
     code, out, err = run(capsys, "analyze", str(fig1_dir), "--matcher", "equal",
                          "--plfit-boot", "0")

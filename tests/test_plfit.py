@@ -70,6 +70,28 @@ def test_zeta_sums_each_series_as_a_direct_evaluation_does():
             assert hurwitz_zeta(s[0], a[0]) == expected[0]
 
 
+@pytest.mark.parametrize("series_block", [3, plfit._SERIES_BLOCK])
+def test_zeta_of_a_labelled_batch_is_each_group_alone(monkeypatch, series_block):
+    # A series is summed pairwise when its element is the only one of its
+    # group below the cutoff, wherever the group's elements lie in the batch
+    # and in its series blocks.
+    monkeypatch.setattr(plfit, "_SERIES_BLOCK", series_block)
+    rng = np.random.default_rng(29)
+    below_cutoff = set()
+    for _ in range(300):
+        sizes = rng.integers(1, 6, int(rng.integers(1, 8)))
+        group = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+        s = rng.uniform(1.01, 40.0, group.size)
+        a = np.where(rng.random(group.size) < 1 / 3, rng.uniform(100.0, 300.0, group.size),
+                     rng.uniform(1.0, 100.0, group.size))
+        got = plfit._zeta(s, a, group)
+        for g in range(sizes.size):
+            mine = group == g
+            assert got[mine].tolist() == hurwitz_zeta(s[mine], a[mine]).tolist()
+            below_cutoff.add(int(np.count_nonzero(a[mine] < 100.0)))
+    assert {0, 1, 2} <= below_cutoff
+
+
 def test_zeta_tail_has_the_bits_of_the_written_out_formula():
     # Each Bernoulli correction's numerator extends the previous one; it
     # must multiply in the order the full product is written.
@@ -343,9 +365,10 @@ def test_gof_is_deterministic():
     )
 
 
-def loop_fit(samples) -> tuple:
+def loop_fit(samples) -> tuple[tuple, tuple]:
     """Reference: the per-candidate fit on the public hurwitz_zeta, one
-    sample at a time, as (alpha, xmin, ks, n_tail)."""
+    sample at a time.  Returns the fit as (alpha, xmin, ks, n_tail) and every
+    candidate as arrays (xmin, n_tail, log_sum, alpha)."""
     values, counts = np.unique(np.asarray(samples), return_counts=True)
     tail_n = counts[::-1].cumsum()[::-1].astype(np.float64)
     log_sum = (counts * np.log(values))[::-1].cumsum()[::-1]
@@ -372,7 +395,8 @@ def loop_fit(samples) -> tuple:
         ks = np.abs(counts[k:].cumsum() / counts[k:].sum() - fitted).max()
         if ks < best_ks:
             best_ks, best = ks, k
-    return alphas[best], values[best], best_ks, tail_n[best]
+    fit = (alphas[best], values[best], best_ks, tail_n[best])
+    return fit, (xmins, tail_n[:-1], log_sum[:-1], alphas)
 
 
 def test_batched_refits_equal_the_loop_fit():
@@ -399,11 +423,17 @@ def test_batched_refits_equal_the_loop_fit():
     assert any(values[-1] >= 100 for values, _ in tables)
 
     batched = plfit._fit_many([v for v, _ in tables], [c for _, c in tables])
+    fits, candidates = zip(*(loop_fit(sample) for sample in samples))
     for i, sample in enumerate(samples):
-        expected = loop_fit(sample)
-        assert tuple(column[i] for column in batched) == expected
+        assert tuple(column[i] for column in batched) == fits[i]
         alone = fit_power_law(sample)
-        assert (alone.alpha, alone.xmin, alone.ks, alone.n_tail) == expected
+        assert (alone.alpha, alone.xmin, alone.ks, alone.n_tail) == fits[i]
+
+    # Every candidate's exponent, not only the chosen one, from the batch's
+    # candidates labelled by sample.
+    xmins, n_tails, log_sums, alphas = (np.concatenate(column) for column in zip(*candidates))
+    sample_of = np.repeat(np.arange(len(samples)), [c[0].size for c in candidates])
+    assert plfit._mle_alphas(xmins, n_tails, log_sums, sample_of).tolist() == alphas.tolist()
 
 
 @pytest.mark.parametrize("chunk_pairs", [1, 40, 700])
