@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -23,6 +24,16 @@ from svcnet.plfit import (
     hurwitz_zeta,
     log_likelihood,
 )
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +119,15 @@ def test_zeta_rejects_bad_domain():
         hurwitz_zeta(1.0, 2.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0, 0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="requires s > 1"):
+            hurwitz_zeta(bad, 2.0)
+        with pytest.raises(ValueError, match="requires s > 1"):
+            hurwitz_zeta(np.array([2.0, bad]), 2.0)
+        with pytest.raises(ValueError, match="requires a >= 1"):
+            hurwitz_zeta(2.0, bad)
+        with pytest.raises(ValueError, match="requires a >= 1"):
+            hurwitz_zeta(2.0, np.array([2.0, bad]))
 
 
 def test_zeta_broadcasts():
@@ -317,6 +337,28 @@ def test_gof_rejects_geometric_samples():
     assert fit.rejected is True
 
 
+@pytest.mark.parametrize("name, bad", [("seed", -1), ("seed", 1.5), ("n_boot", 2.5),
+                                       ("n_boot", -1), ("n_boot", "100")])
+def test_gof_refuses_bad_arguments_as_usage_errors(name, bad):
+    samples = oracle_power_law_sample(2.5, 1, 200, seed=1)
+    fit = fit_power_law(samples)
+    kwargs = {"n_boot": 100, "seed": 0, name: bad}
+    with pytest.raises(UsageError, match=f"{name} must be an integer >= 0"):
+        gof_pvalue(fit, samples, **kwargs)
+    with pytest.raises(UsageError, match=f"{name} must be an integer >= 0"):
+        fit_with_gof(samples, **kwargs)
+
+
+def test_gof_refuses_a_fit_of_other_samples():
+    with pytest.raises(UsageError, match="fit of other samples"):
+        gof_pvalue(fit_power_law([50, 60, 70, 80]), [1, 2, 3], n_boot=100)
+    # The tail is counted over the positive samples: zeros are not in it.
+    fit = fit_power_law([0, 1, 1, 2, 3, 5, 8])
+    assert gof_pvalue(fit, [0, 1, 1, 2, 3, 5, 8], n_boot=100) is not None
+    with pytest.raises(UsageError, match="fit of other samples"):
+        gof_pvalue(replace(fit, n_tail=fit.n_tail + 1), [0, 1, 1, 2, 3, 5, 8], n_boot=100)
+
+
 def test_gof_skipped_when_n_boot_zero():
     samples = oracle_power_law_sample(2.5, 1, 500, seed=1)
     fit = fit_with_gof(samples, n_boot=0, seed=0)
@@ -343,13 +385,7 @@ def test_gof_holds_no_full_sampling_table():
     # draws read a few thousand entries.
     d = plfit._PowerLawTable(2.1, 1).draw(150, np.random.default_rng(5))
     fit = fit_power_law(d)
-    tracemalloc.start()
-    try:
-        gof_pvalue(fit, d, n_boot=100, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * 2**20
+    assert traced_peak(lambda: gof_pvalue(fit, d, n_boot=100, seed=2)) <= 12 * 2**20
 
 
 def test_fit_with_gof_reads_a_one_pass_iterable_once():
@@ -399,7 +435,7 @@ def loop_fit(samples) -> tuple[tuple, tuple]:
     return fit, (xmins, tail_n[:-1], log_sum[:-1], alphas)
 
 
-def test_batched_refits_equal_the_loop_fit():
+def test_batched_refits_equal_the_loop_fit(monkeypatch):
     # Replicate-like samples: two distinct values (one candidate), hubs at or
     # past the zeta series cutoff of 100 (tail-only terms, and candidates with
     # a single tail value below the cutoff), and plain power-law draws.
@@ -422,10 +458,17 @@ def test_batched_refits_equal_the_loop_fit():
     assert any(values.size == 2 for values, _ in tables)
     assert any(values[-1] >= 100 for values, _ in tables)
 
-    batched = plfit._fit_many([v for v, _ in tables], [c for _, c in tables])
     fits, candidates = zip(*(loop_fit(sample) for sample in samples))
+    # KS distances run a block of whole candidates at a time.  With blocks of
+    # 3 and 1 tail values every candidate (two or more tail values) has a
+    # block of its own, and most tails are longer than the block.
+    for series_block in (plfit._SERIES_BLOCK, 3, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(plfit, "_SERIES_BLOCK", series_block)
+            batched = plfit._fit_many([v for v, _ in tables], [c for _, c in tables])
+        for i in range(len(samples)):
+            assert tuple(column[i] for column in batched) == fits[i]
     for i, sample in enumerate(samples):
-        assert tuple(column[i] for column in batched) == fits[i]
         alone = fit_power_law(sample)
         assert (alone.alpha, alone.xmin, alone.ks, alone.n_tail) == fits[i]
 
@@ -436,10 +479,26 @@ def test_batched_refits_equal_the_loop_fit():
     assert plfit._mle_alphas(xmins, n_tails, log_sums, sample_of).tolist() == alphas.tolist()
 
 
-@pytest.mark.parametrize("chunk_pairs", [1, 40, 700])
-def test_chunk_boundaries_leave_the_pvalue_unchanged(monkeypatch, chunk_pairs):
+@pytest.mark.parametrize("series_block", [1, 40, 700])
+def test_chunk_boundaries_leave_the_pvalue_unchanged(monkeypatch, series_block):
+    # A chunk of replicates closes once its probes fill one series block.
     samples = [1, 1, 1, 1, 2, 2, 3, 5, 9, 14, 40, 130]
     fit = fit_power_law(samples)
     whole = gof_pvalue(fit, samples, n_boot=150, seed=2)
-    monkeypatch.setattr(plfit, "_CHUNK_PAIRS", chunk_pairs)
+    monkeypatch.setattr(plfit, "_SERIES_BLOCK", series_block)
     assert gof_pvalue(fit, samples, n_boot=150, seed=2) == whole
+
+
+def test_fit_holds_one_series_block_of_ks_distances():
+    # 2000 distinct values: every (candidate, tail value) pair at once, about
+    # two million of them, took 185 MiB.
+    samples = np.concatenate([np.arange(1, 2001), oracle_power_law_sample(2.5, 1, 3000, seed=8)])
+    assert np.unique(samples).size >= 2000
+    assert traced_peak(lambda: fit_power_law(samples)) <= 4 * 2**20
+
+
+@pytest.mark.filterwarnings("ignore:n_boot=50 gives a coarse")
+def test_gof_holds_one_series_block_of_refits():
+    samples = oracle_power_law_sample(2.5, 1, 10_000, seed=300)
+    fit = fit_power_law(samples)
+    assert traced_peak(lambda: gof_pvalue(fit, samples, n_boot=50, seed=0)) <= 5 * 2**20
